@@ -70,6 +70,14 @@ if [[ "${BOOSTER_SKIP_SANITIZE:-0}" != "1" ]]; then
   # once, and the reload worker's mailbox hand-off must stay clean.
   "$ASAN_DIR/test_serve" --gtest_filter='ServeOverload.*' > /dev/null
 
+  # Step-5 leaf-span equivalence under ASan, by name for the same reason:
+  # the leaf scatter writes through arena row ids into the delta scratch,
+  # so an arena span that outlived its tree or a mis-tiled leaf set would
+  # surface here as an out-of-bounds write or a bit mismatch against the
+  # Tree::predict reference.
+  "$ASAN_DIR/test_hotpath_equivalence" \
+    --gtest_filter='*/LeafSpanStep5.*' > /dev/null
+
   # Streaming smoke under the sanitizers: bench_stream --quick drives the
   # frozen-bin-map chunk path, the recycled window arenas, warm-start
   # replay, and the ModelSlot hand-off through ASan/UBSan-instrumented
@@ -79,17 +87,19 @@ if [[ "${BOOSTER_SKIP_SANITIZE:-0}" != "1" ]]; then
 
   # TSan leg: the concurrent subset only -- threaded rank worlds, the
   # reliable channel's heartbeat/liveness machinery, the elastic TCP
-  # worlds (worker incarnations on threads), the thread pool, and the
+  # worlds (worker incarnations on threads), the thread pool, the
   # serving tests (event loop + off-loop reload worker + client threads
-  # sharing the ModelSlot and the reload mailbox). TSan and ASan cannot
-  # share a build, hence the third tree.
+  # sharing the ModelSlot and the reload mailbox), and the threaded
+  # trainer hot path (parallel histogram build, partition, and the step-5
+  # leaf scatter). TSan and ASan cannot share a build, hence the third
+  # tree.
   TSAN_DIR="${BUILD_DIR}-tsan"
   cmake -B "$TSAN_DIR" -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DBOOSTER_SANITIZE=thread
   cmake --build "$TSAN_DIR" -j "$(nproc)"
   ctest --test-dir "$TSAN_DIR" --output-on-failure -j "$(nproc)" \
-    -R '(ipc|distributed|elastic|sharded|thread_pool|serve)'
+    -R '(ipc|distributed|elastic|sharded|thread_pool|serve|hotpath|trainer)'
 fi
 
 # Scenario smoke leg: the CLI must list exactly the checked-in scenario

@@ -196,7 +196,7 @@ TrainResult DistributedTrainer::train_rank0(const BinnedDataset& data,
   seed_warm_start(&result, tcfg);
   for (auto& g : groups) {
     for (const Tree& t : result.model.trees()) {
-      g->finish_tree(t, *loss, nullptr, nullptr);
+      g->replay_tree(t, *loss);
     }
   }
 
@@ -234,7 +234,7 @@ TrainResult DistributedTrainer::train_rank0(const BinnedDataset& data,
                                           remote.shard_end, &pool);
     g->reset(*loss, base_score);
     for (const Tree& t : result.model.trees()) {
-      g->finish_tree(t, *loss, nullptr, nullptr);
+      g->replay_tree(t, *loss);
     }
     g->begin_tree(n);
     std::size_t replay = 0;
@@ -793,7 +793,7 @@ TrainResult DistributedTrainer::train_rank0_elastic(const BinnedDataset& data,
                                                     b0, e0, &pool));
       groups[0]->reset(*loss, base_score);
       for (const Tree& tr : result.model.trees()) {
-        groups[0]->finish_tree(tr, *loss, nullptr, nullptr);
+        groups[0]->replay_tree(tr, *loss);
       }
       my_begin = b0;
       my_end = e0;
@@ -840,7 +840,7 @@ TrainResult DistributedTrainer::train_rank0_elastic(const BinnedDataset& data,
                                           remote.shard_end, &pool);
     g->reset(*loss, base_score);
     for (const Tree& t : result.model.trees()) {
-      g->finish_tree(t, *loss, nullptr, nullptr);
+      g->replay_tree(t, *loss);
     }
     g->begin_tree(n);
     std::size_t replay = 0;
@@ -1405,7 +1405,7 @@ TrainResult DistributedTrainer::train_worker_elastic(
                                            assign.shard_end, &pool);
       group->reset(*loss, base_score);
       for (const Tree& tr : result.model.trees()) {
-        group->finish_tree(tr, *loss, nullptr, nullptr);
+        group->replay_tree(tr, *loss);
       }
       cur_begin = assign.shard_begin;
       cur_end = assign.shard_end;
@@ -1526,7 +1526,7 @@ TrainResult DistributedTrainer::train_worker(const BinnedDataset& data,
   // no wire traffic.
   seed_warm_start(&result, tcfg);
   for (const Tree& t : result.model.trees()) {
-    group.finish_tree(t, *loss, nullptr, nullptr);
+    group.replay_tree(t, *loss);
   }
   double leaf_depth_sum = 0.0;
   std::uint64_t leaf_count = 0;

@@ -121,4 +121,42 @@ void partition_to(std::span<const std::uint32_t> src,
                   });
 }
 
+std::uint64_t order_leaf_spans(std::span<LeafSpan> leaves, std::uint64_t rows) {
+  // Per-shard spans may be empty (begin == end); ordering by (begin, end)
+  // puts an empty span before the non-empty one sharing its begin.
+  std::sort(leaves.begin(), leaves.end(),
+            [](const LeafSpan& a, const LeafSpan& b) {
+              return a.begin != b.begin ? a.begin < b.begin : a.end < b.end;
+            });
+  std::uint64_t next = 0;
+  std::uint64_t hops = 0;
+  for (const LeafSpan& leaf : leaves) {
+    BOOSTER_CHECK_MSG(leaf.begin == next && leaf.end >= leaf.begin,
+                      "leaf spans do not tile the arena");
+    next = leaf.end;
+    hops += static_cast<std::uint64_t>(leaf.depth) * (leaf.end - leaf.begin);
+  }
+  BOOSTER_CHECK_MSG(next == rows, "leaf spans do not tile the arena");
+  return hops;
+}
+
+void scatter_leaf_deltas(std::span<const LeafSpan> leaves,
+                         const std::vector<std::uint32_t> (&arenas)[2],
+                         std::uint64_t b, std::uint64_t e,
+                         std::uint64_t row_base, std::span<float> delta) {
+  // First leaf ending after b; spans are in position order, so their ends
+  // are non-decreasing.
+  auto it = std::partition_point(
+      leaves.begin(), leaves.end(),
+      [b](const LeafSpan& leaf) { return leaf.end <= b; });
+  for (; it != leaves.end() && it->begin < e; ++it) {
+    const std::uint32_t* rows = arenas[it->buf].data();
+    const float d = it->delta;
+    const std::uint64_t end = std::min(it->end, e);
+    for (std::uint64_t i = std::max(it->begin, b); i < end; ++i) {
+      delta[rows[i] - row_base] = d;
+    }
+  }
+}
+
 }  // namespace booster::gbdt

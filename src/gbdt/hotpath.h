@@ -1,11 +1,13 @@
-// Parallel kernels of the training hot path (paper steps 1 and 3), shared
-// between Trainer and the equivalence tests / benches:
+// Parallel kernels of the training hot path (paper steps 1, 3 and 5),
+// shared between Trainer, ShardGroup and the equivalence tests / benches:
 //   * step 1: multi-threaded histogram build -- per-chunk partial
 //     histograms drawn from a HistogramPool, reduced in chunk order (so the
 //     result is deterministic for a fixed thread count);
 //   * step 3: stable in-place partition of a row-index arena span by a
 //     split predicate, via a persistent scratch buffer -- no per-node
-//     row-vector allocations.
+//     row-vector allocations;
+//   * step 5: each record's leaf is read off the leaf spans the partitions
+//     left in the arenas, instead of re-traversing the tree just grown.
 #pragma once
 
 #include <cstdint>
@@ -65,5 +67,37 @@ void partition_to(std::span<const std::uint32_t> src,
                   const BinnedDataset& data, const SplitInfo& split,
                   util::ThreadPool& pool,
                   std::span<std::uint64_t> chunk_counts);
+
+/// One leaf of the tree being grown, where its records sit once the tree
+/// is complete: positions [begin, end) of ping-pong arena `buf`. A leaf's
+/// span is never overwritten later in the same tree -- later partitions
+/// write only inside the spans of nodes that are not leaves, which are
+/// disjoint from every leaf's -- and the leaf spans of one tree tile the
+/// arena positions [0, rows) exactly, because every split divides its
+/// parent's span into two adjacent child spans.
+struct LeafSpan {
+  std::uint64_t begin = 0;
+  std::uint64_t end = 0;
+  /// static_cast<float>(leaf weight): the value the blocked traversal adds
+  /// to the record's float prediction.
+  float delta = 0.0f;
+  std::int32_t tree_node = 0;
+  std::int32_t depth = 0;
+  std::uint8_t buf = 0;
+};
+
+/// Sorts `leaves` into position order, checks that they tile [0, rows)
+/// exactly, and returns the step-5 record hops sum(depth x span rows) --
+/// the same integer the traversal of the tree over those rows counts.
+std::uint64_t order_leaf_spans(std::span<LeafSpan> leaves, std::uint64_t rows);
+
+/// Writes each leaf's delta to its records for arena positions [b, e):
+/// delta[arenas[leaf.buf][i] - row_base] = leaf.delta. `leaves` must be in
+/// position order (order_leaf_spans). Every record is written exactly
+/// once, so disjoint [b, e) ranges may run concurrently.
+void scatter_leaf_deltas(std::span<const LeafSpan> leaves,
+                         const std::vector<std::uint32_t> (&arenas)[2],
+                         std::uint64_t b, std::uint64_t e,
+                         std::uint64_t row_base, std::span<float> delta);
 
 }  // namespace booster::gbdt

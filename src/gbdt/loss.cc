@@ -31,6 +31,26 @@ double LogisticLoss::value(float pred, float y) const {
   return -(y * std::log(p) + (1.0 - y) * std::log(1.0 - p));
 }
 
+LossEval LogisticLoss::evaluate(float pred, float y) const {
+  const double p = sigmoid(pred);
+  const double pc = std::clamp(p, 1e-15, 1.0 - 1e-15);
+  // value()'s two log terms are finite and nonzero (pc is clamped inside
+  // (0, 1)), so for a hard label the zero-weighted term only adds a signed
+  // zero, which leaves every bit of the other term unchanged.
+  double log_likelihood;
+  if (y == 0.0f) {
+    log_likelihood = std::log(1.0 - pc);
+  } else if (y == 1.0f) {
+    log_likelihood = std::log(pc);
+  } else {
+    log_likelihood = y * std::log(pc) + (1.0 - y) * std::log(1.0 - pc);
+  }
+  return LossEval{
+      GradientPair{static_cast<float>(p - y),
+                   static_cast<float>(std::max(p * (1.0 - p), 1e-16))},
+      -log_likelihood};
+}
+
 double LogisticLoss::transform(double raw) const { return sigmoid(raw); }
 
 double LogisticLoss::base_score(double label_mean) const {

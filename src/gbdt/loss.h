@@ -17,6 +17,12 @@ struct GradientPair {
   float h = 0.0f;
 };
 
+/// Gradient statistics and loss value of one record, from one fused call.
+struct LossEval {
+  GradientPair grad;
+  double value = 0.0;
+};
+
 class Loss {
  public:
   virtual ~Loss() = default;
@@ -26,6 +32,13 @@ class Loss {
 
   /// Loss value for reporting/early-stopping.
   virtual double value(float pred, float y) const = 0;
+
+  /// gradients() and value() in one call -- the step-5 gradient refresh
+  /// reports the training loss from the same pass. Overrides must return
+  /// exactly the bits of the two separate calls.
+  virtual LossEval evaluate(float pred, float y) const {
+    return LossEval{gradients(pred, y), value(pred, y)};
+  }
 
   /// Transforms a raw model output into the task's response (identity for
   /// regression, sigmoid for binary classification).
@@ -51,6 +64,9 @@ class LogisticLoss final : public Loss {
  public:
   GradientPair gradients(float pred, float y) const override;
   double value(float pred, float y) const override;
+  /// One sigmoid per record, and for a hard label (y exactly 0 or 1) only
+  /// the log term that is not multiplied by zero.
+  LossEval evaluate(float pred, float y) const override;
   double transform(double raw) const override;
   double base_score(double label_mean) const override;
   std::string name() const override { return "logistic"; }

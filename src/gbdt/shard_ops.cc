@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "gbdt/hotpath.h"
 #include "util/check.h"
 #include "util/simd.h"
 #include "util/thread_pool.h"
@@ -40,10 +39,10 @@ ShardGroup::ShardGroup(const BinnedDataset& data, const TrainerConfig& cfg,
   }
   preds_.resize(n);
   gradients_.resize(n);
+  deltas_.resize(shards_.back().row_end - shards_.front().row_begin);
   col_ptrs_ = column_pointers(data_);
   chunk_lefts_.resize(static_cast<std::size_t>(local) * sub_);
   shard_lefts_.resize(local);
-  chunk_hops_.resize(static_cast<std::size_t>(local) * sub_);
   chunk_losses_.resize(static_cast<std::size_t>(local) * sub_);
 }
 
@@ -60,6 +59,17 @@ std::uint32_t ShardGroup::acquire_slot() {
 
 void ShardGroup::release_slot(std::uint32_t slot) {
   free_slots_.push_back(slot);
+}
+
+void ShardGroup::add_leaf(std::int32_t tree_node, std::int32_t depth,
+                          std::uint8_t buf, std::uint32_t slot) {
+  for (std::uint32_t ls = 0; ls < num_local(); ++ls) {
+    shards_[ls].leaves.push_back(LeafSpan{.begin = span_begin(slot, ls),
+                                          .end = span_end(slot, ls),
+                                          .tree_node = tree_node,
+                                          .depth = depth,
+                                          .buf = buf});
+  }
 }
 
 void ShardGroup::reset(const Loss& loss, double base_score) {
@@ -79,6 +89,8 @@ void ShardGroup::begin_tree(std::uint64_t root_rows) {
   frontier_.clear();
   pending_valid_ = false;
   built_valid_ = false;
+  next_tree_node_ = 1;
+  for (Shard& sh : shards_) sh.leaves.clear();
   if (num_local() == 0) return;
   pool_->run_tasks(num_local() * sub_, [&](unsigned task) {
     Shard& sh = shards_[task / sub_];
@@ -92,6 +104,7 @@ void ShardGroup::begin_tree(std::uint64_t root_rows) {
   root.buf = 0;
   root.depth = 0;
   root.rows = root_rows;
+  root.tree_node = 0;
   for (std::uint32_t ls = 0; ls < num_local(); ++ls) {
     span_begin(root.slot, ls) = 0;
     span_end(root.slot, ls) = shards_[ls].num_rows();
@@ -109,7 +122,9 @@ bool ShardGroup::head_is_bounds_leaf() const {
 
 void ShardGroup::apply_leaf() {
   BOOSTER_CHECK(!frontier_.empty());
-  release_slot(frontier_.front().slot);
+  const Node& head = frontier_.front();
+  add_leaf(head.tree_node, head.depth, head.buf, head.slot);
+  release_slot(head.slot);
   frontier_.pop_front();
 }
 
@@ -193,32 +208,43 @@ bool ShardGroup::apply_split(const SplitInfo& split) {
   }
 
   const std::int32_t child_depth = node.depth + 1;
+  const std::int32_t left_id = next_tree_node_;
+  const std::int32_t right_id = left_id + 1;
+  next_tree_node_ += 2;
+  const std::uint32_t left_slot = acquire_slot();
+  const std::uint32_t right_slot = acquire_slot();
+  for (std::uint32_t ls = 0; ls < local; ++ls) {
+    const std::uint64_t mid = span_begin(node.slot, ls) + shard_lefts_[ls];
+    span_begin(left_slot, ls) = span_begin(node.slot, ls);
+    span_end(left_slot, ls) = mid;
+    span_begin(right_slot, ls) = mid;
+    span_end(right_slot, ls) = span_end(node.slot, ls);
+  }
+  release_slot(node.slot);
+
   if (child_depth >= static_cast<std::int32_t>(cfg_.max_depth)) {
-    // Both children are terminal leaves: nothing further reads their rows
-    // this tree, so no child spans (and no pending build) are needed.
-    release_slot(node.slot);
+    // Both children are terminal leaves: nothing further partitions their
+    // rows this tree, so only their spans are kept (no pending build).
+    add_leaf(left_id, child_depth, child_buf, left_slot);
+    add_leaf(right_id, child_depth, child_buf, right_slot);
+    release_slot(left_slot);
+    release_slot(right_slot);
     return false;
   }
 
   const bool left_smaller = n_left_total <= n_right_total;
-  Node small;
-  Node large;
-  small.buf = large.buf = child_buf;
-  small.depth = large.depth = child_depth;
-  small.rows = left_smaller ? n_left_total : n_right_total;
-  large.rows = left_smaller ? n_right_total : n_left_total;
-  small.slot = acquire_slot();
-  large.slot = acquire_slot();
-  for (std::uint32_t ls = 0; ls < local; ++ls) {
-    const std::uint64_t sb = span_begin(node.slot, ls);
-    const std::uint64_t se = span_end(node.slot, ls);
-    const std::uint64_t mid = sb + shard_lefts_[ls];
-    span_begin(small.slot, ls) = left_smaller ? sb : mid;
-    span_end(small.slot, ls) = left_smaller ? mid : se;
-    span_begin(large.slot, ls) = left_smaller ? mid : sb;
-    span_end(large.slot, ls) = left_smaller ? se : mid;
-  }
-  release_slot(node.slot);
+  const Node left{.slot = left_slot,
+                  .buf = child_buf,
+                  .depth = child_depth,
+                  .rows = n_left_total,
+                  .tree_node = left_id};
+  const Node right{.slot = right_slot,
+                   .buf = child_buf,
+                   .depth = child_depth,
+                   .rows = n_right_total,
+                   .tree_node = right_id};
+  const Node& small = left_smaller ? left : right;
+  const Node& large = left_smaller ? right : left;
   frontier_.push_back(small);
   frontier_.push_back(large);
   pending_ = small;
@@ -280,52 +306,83 @@ void ShardGroup::release_built() {
 
 void ShardGroup::finish_tree(const Tree& tree, const Loss& loss, double* hops,
                              double* quantized_loss) {
+  BOOSTER_CHECK_MSG(frontier_.empty(), "step 5 before the tree is complete");
   const std::uint32_t local = num_local();
   if (local == 0) {
     if (hops != nullptr) *hops = 0.0;
     if (quantized_loss != nullptr) *quantized_loss = 0.0;
     return;
   }
+  BOOSTER_CHECK_MSG(
+      tree.num_nodes() == static_cast<std::uint32_t>(next_tree_node_),
+      "finished tree differs from the one grown here");
+  std::uint64_t hop_total = 0;
+  for (Shard& sh : shards_) {
+    for (LeafSpan& leaf : sh.leaves) {
+      const TreeNode& node = tree.node(leaf.tree_node);
+      BOOSTER_CHECK_MSG(node.is_leaf && node.depth == leaf.depth,
+                        "finished tree differs from the one grown here");
+      leaf.delta = static_cast<float>(node.weight);
+    }
+    hop_total += order_leaf_spans(sh.leaves, sh.num_rows());
+  }
+  // Phase 1 scatters deltas over each shard's arena positions, phase 2 is
+  // the dense per-row pass over each shard's rows; both over the
+  // flattened (shard, sub-chunk) task grid.
+  const std::uint64_t row_base = shards_.front().row_begin;
+  pool_->run_tasks(local * sub_, [&](unsigned task) {
+    const Shard& sh = shards_[task / sub_];
+    const auto [b, e] = chunk_range(0, sh.num_rows(), task % sub_, sub_);
+    scatter_leaf_deltas(sh.leaves, sh.bufs, b, e, row_base, deltas_);
+  });
+  pool_->run_tasks(local * sub_, [&](unsigned task) {
+    const Shard& sh = shards_[task / sub_];
+    const auto [b, e] =
+        chunk_range(sh.row_begin, sh.row_end, task % sub_, sub_);
+    double chunk_loss = 0.0;
+    for (std::uint64_t r = b; r < e; ++r) {
+      preds_[r] += deltas_[r - row_base];
+      const LossEval ev = loss.evaluate(preds_[r], data_.labels()[r]);
+      gradients_[r] = ev.grad;
+      chunk_loss += quantize_stat(ev.value);
+    }
+    chunk_losses_[task] = chunk_loss;
+  });
+  // Loss terms are quantized, so this reduction is exact in any grouping;
+  // (shard, chunk) order keeps it readable.
+  double loss_total = 0.0;
+  for (std::uint32_t t = 0; t < local * sub_; ++t) {
+    loss_total += chunk_losses_[t];
+  }
+  if (hops != nullptr) *hops = static_cast<double>(hop_total);
+  if (quantized_loss != nullptr) *quantized_loss = loss_total;
+}
+
+void ShardGroup::replay_tree(const Tree& tree, const Loss& loss) {
+  const std::uint32_t local = num_local();
+  if (local == 0) return;
   flat_.assign(tree);
   const auto& ker = util::simd::kernels();
   pool_->run_tasks(local * sub_, [&](unsigned task) {
     const Shard& sh = shards_[task / sub_];
     const auto [b, e] =
         chunk_range(sh.row_begin, sh.row_end, task % sub_, sub_);
-    double chunk_hops = 0.0;
-    double chunk_loss = 0.0;
     double wts[util::simd::kMaxPredictTile];
-    std::uint32_t tile_hops[util::simd::kMaxPredictTile];
     const util::simd::FlatTreeView view = flat_.view();
-    // Blocked SIMD traversal (see trainer.cc step 5): pure routing plus
-    // per-record updates in ascending order, bit-identical to the
-    // per-record loop at every dispatch level.
+    // Blocked SIMD traversal: pure routing plus per-record updates in
+    // ascending order, bit-identical to the per-record loop at every
+    // dispatch level.
     for (std::uint64_t r0 = b; r0 < e; r0 += ker.predict_tile) {
       const std::size_t m = static_cast<std::size_t>(
           std::min<std::uint64_t>(ker.predict_tile, e - r0));
-      ker.traverse_block(view, col_ptrs_.data(), r0, m, wts, tile_hops);
+      ker.traverse_block(view, col_ptrs_.data(), r0, m, wts, nullptr);
       for (std::size_t i = 0; i < m; ++i) {
         const std::uint64_t r = r0 + i;
         preds_[r] += static_cast<float>(wts[i]);
         gradients_[r] = loss.gradients(preds_[r], data_.labels()[r]);
-        chunk_hops += tile_hops[i];
-        chunk_loss += quantize_stat(loss.value(preds_[r], data_.labels()[r]));
       }
     }
-    chunk_hops_[task] = chunk_hops;
-    chunk_losses_[task] = chunk_loss;
   });
-  // Hop sums are integer-valued and loss terms quantized, so these
-  // reductions are exact in any grouping; (shard, chunk) order keeps them
-  // readable.
-  double hop_total = 0.0;
-  double loss_total = 0.0;
-  for (std::uint32_t t = 0; t < local * sub_; ++t) {
-    hop_total += chunk_hops_[t];
-    loss_total += chunk_losses_[t];
-  }
-  if (hops != nullptr) *hops = hop_total;
-  if (quantized_loss != nullptr) *quantized_loss = loss_total;
 }
 
 std::vector<ShardHotPathStats> ShardGroup::shard_stats() const {
@@ -337,7 +394,8 @@ std::vector<ShardHotPathStats> ShardGroup::shard_stats() const {
     ss.histogram_allocations = sh.pool.allocations();
     ss.histogram_acquires = sh.pool.acquires();
     ss.arena_bytes =
-        (sh.bufs[0].size() + sh.bufs[1].size()) * sizeof(std::uint32_t);
+        (sh.bufs[0].size() + sh.bufs[1].size()) * sizeof(std::uint32_t) +
+        sh.num_rows() * sizeof(float);  // the shard's slice of deltas_
     ss.sub_chunks = sub_;
     stats.push_back(ss);
   }

@@ -2,8 +2,8 @@
 // ShardGroup owns a contiguous range of the global shard partition (its
 // rows, gradient state, per-shard histogram pools, and ping-pong arenas)
 // and replays the tree-growth decision stream against it -- per-shard
-// histogram build, stable partition, and step-5 traversal. Both engines
-// drive the same class:
+// histogram build, stable partition, and step 5 from the leaf spans the
+// partitions leave in the arenas. Both engines drive the same class:
 //   * gbdt::ShardedTrainer / single-rank gbdt::DistributedTrainer: one
 //     group covering every shard, driven inline;
 //   * multi-rank gbdt::DistributedTrainer: one group per rank, remote
@@ -27,6 +27,7 @@
 #include "gbdt/binning.h"
 #include "gbdt/flat_ensemble.h"
 #include "gbdt/histogram.h"
+#include "gbdt/hotpath.h"
 #include "gbdt/loss.h"
 #include "gbdt/split.h"
 #include "gbdt/trainer.h"
@@ -80,13 +81,14 @@ class ShardGroup {
   /// (same inputs, no communication).
   bool head_is_bounds_leaf() const;
 
-  /// Pops the head as a leaf.
+  /// Pops the head as a leaf, keeping its spans for finish_tree.
   void apply_leaf();
 
   /// Pops the head, partitions every owned shard's span by `split`
   /// (stable, sub-chunked), and -- when the children may split further --
   /// pushes the smaller then the larger child and marks the smaller as
-  /// the pending build. Returns true when children were pushed.
+  /// the pending build. Returns true when children were pushed; otherwise
+  /// both children are leaves and their spans are kept for finish_tree.
   bool apply_split(const SplitInfo& split);
 
   /// Builds the pending node's per-shard histograms (sub-chunked; chunk
@@ -97,13 +99,21 @@ class ShardGroup {
   const Histogram& built_histogram(std::uint32_t local_shard) const;
   void release_built();
 
-  /// Step 5 for the owned rows: traverse the finished tree, update
-  /// predictions, refresh gradients, and accumulate hop and quantized
-  /// per-record loss sums (chunk partials reduced in chunk order -- exact,
-  /// see histogram.h). Outputs may be null (adoption catch-up replays
-  /// trees only for their prediction side effects).
+  /// Step 5 for the owned rows of the tree this group just grew (the
+  /// frontier must be drained; `tree` is the training loop's copy, whose
+  /// node ids the group mirrors): scatter each leaf's delta to the rows of
+  /// its arena spans, then update predictions, refresh gradients and sum
+  /// the quantized per-record loss terms in one dense pass (chunk partials
+  /// reduced in chunk order -- exact, see histogram.h). `hops` receives
+  /// sum(leaf depth x span rows), the integer a traversal would count.
   void finish_tree(const Tree& tree, const Loss& loss, double* hops,
                    double* quantized_loss);
+
+  /// Step 5 for a tree that was not grown on these rows (warm-start init
+  /// trees, catch-up and adoption replay): the blocked SIMD traversal
+  /// finds each row's leaf, with the same per-record update arithmetic as
+  /// finish_tree.
+  void replay_tree(const Tree& tree, const Loss& loss);
 
   /// Per-shard diagnostics (rows, pool counters, arena bytes, sub-chunk
   /// count), in local shard order.
@@ -120,6 +130,7 @@ class ShardGroup {
     std::vector<std::uint32_t> bufs[2];
     Histogram built;                  // per-shard result of build_pending
     std::vector<Histogram> partials;  // sub-chunk scratch (from `pool`)
+    std::vector<LeafSpan> leaves;     // current tree's leaves, local spans
 
     std::uint64_t num_rows() const { return row_end - row_begin; }
   };
@@ -130,10 +141,17 @@ class ShardGroup {
     std::uint8_t buf = 0;
     std::int32_t depth = 0;
     std::uint64_t rows = 0;  // *global* rows (drives the bounds-leaf rule)
+    /// Id of the node in the training loop's Tree: Tree::split_leaf adds
+    /// the left then the right child, and every group sees the same splits
+    /// in the same order, so the group mirrors the ids with a counter.
+    std::int32_t tree_node = 0;
   };
 
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot);
+  /// Records one leaf: its span in every owned shard.
+  void add_leaf(std::int32_t tree_node, std::int32_t depth, std::uint8_t buf,
+                std::uint32_t slot);
   std::uint64_t& span_begin(std::uint32_t slot, std::uint32_t ls) {
     return span_bounds_[static_cast<std::size_t>(slot) * 2 * num_local() +
                         2 * ls];
@@ -161,14 +179,19 @@ class ShardGroup {
   std::vector<Shard> shards_;
   std::vector<float> preds_;
   std::vector<GradientPair> gradients_;
+  /// Step-5 scratch: each owned row's scattered leaf delta, indexed from
+  /// the group's first row (the owned shards are contiguous).
+  std::vector<float> deltas_;
 
-  /// Per-field column base pointers for the blocked step-5 traversal
-  /// kernel (fixed for the dataset's lifetime) and the FlatTree scratch it
-  /// consumes, re-encoded once per finished tree (allocation-free warm).
+  /// Per-field column base pointers for the blocked traversal kernel
+  /// (fixed for the dataset's lifetime) and the FlatTree scratch it
+  /// consumes, re-encoded once per replayed tree (allocation-free warm).
   std::vector<const BinIndex*> col_ptrs_;
   FlatTree flat_;
 
   std::deque<Node> frontier_;
+  /// Id the next Tree::split_leaf left child gets (see Node::tree_node).
+  std::int32_t next_tree_node_ = 1;
   /// Recycled per-(node, local shard) span bounds: slot i holds
   /// num_local() (begin, end) pairs. Same allocation-free discipline as
   /// the histogram pools.
@@ -183,11 +206,10 @@ class ShardGroup {
   bool built_valid_ = false;
 
   /// Scratch for the two-phase sub-chunked partition: per (shard, chunk)
-  /// left counts with per-shard totals, and per (shard, chunk) reduction
-  /// slots for step 5.
+  /// left counts with per-shard totals, and per (shard, chunk) loss
+  /// reduction slots for step 5.
   std::vector<std::uint64_t> chunk_lefts_;
   std::vector<std::uint64_t> shard_lefts_;
-  std::vector<double> chunk_hops_;
   std::vector<double> chunk_losses_;
 
   std::uint64_t internal_merges_ = 0;

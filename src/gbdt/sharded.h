@@ -1,7 +1,7 @@
 // Sharded GBDT training (ROADMAP "Sharded training"): partition the
 // records into K contiguous row shards, give every shard its own histogram
 // pool and ping-pong row arenas, run the per-shard histogram build /
-// partition / traversal as (sub-chunked) shard tasks on util::ThreadPool,
+// partition / step-5 update as (sub-chunked) shard tasks on util::ThreadPool,
 // and merge the per-shard histograms with Histogram::add in fixed shard
 // order before running the (already-threaded) SplitFinder on the merged
 // result.

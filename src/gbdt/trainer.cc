@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <limits>
 #include <utility>
 
@@ -22,7 +21,8 @@ using trace::StepKind;
 using trace::StepTrace;
 
 /// Rows per chunk for the embarrassingly parallel per-record loops
-/// (gradient refresh, step-5 traversal, loss evaluation).
+/// (step-5 leaf scatter, gradient refresh with loss evaluation, warm-start
+/// replay).
 constexpr std::uint64_t kRecordGrain = 2048;
 
 /// Mutable state of one frontier node during tree growth. The node's
@@ -63,7 +63,8 @@ TrainResult Trainer::train(const BinnedDataset& data, StepTrace* trace,
   const std::uint32_t num_fields = data.num_fields();
 
   // One pool + one histogram pool + one row arena for the whole run; the
-  // per-tree loop below performs no allocations once these are warm.
+  // per-tree loop below performs no allocations once these and the
+  // per-tree scratch vectors are warm.
   util::ThreadPool pool(cfg_.num_threads);
   HistogramPool hist_pool(data);
   std::vector<std::uint32_t> row_bufs[2] = {std::vector<std::uint32_t>(n),
@@ -71,6 +72,19 @@ TrainResult Trainer::train(const BinnedDataset& data, StepTrace* trace,
   std::vector<std::uint64_t> chunk_counts(pool.num_threads() + 1, 0);
   std::vector<double> chunk_sums(pool.num_threads(), 0.0);
   std::vector<Histogram> partials_scratch;
+  // Step 5 scratch: the finished tree's leaf spans and each record's
+  // scattered leaf delta.
+  std::vector<LeafSpan> leaves;
+  std::vector<float> deltas(n);
+  // Growth scratch, cleared per tree. The frontier is a FIFO over a vector
+  // (`head` is the next node to expand) so it keeps its capacity across
+  // trees. Level-by-level growth aggregates child binning per level (one
+  // record stream per level, paper SS II-A); indexed by depth. The node
+  // count rides along so the aggregated event reports how many per-node
+  // histograms it covers (StepEvent::histograms).
+  std::vector<FrontierNode> frontier;
+  std::vector<std::uint64_t> level_hist_records;
+  std::vector<std::uint32_t> level_hist_nodes;
 
   // Base score from the label mean (logit-transformed for logistic loss),
   // or inherited from the warm-start model so its leaf weights keep
@@ -103,20 +117,16 @@ TrainResult Trainer::train(const BinnedDataset& data, StepTrace* trace,
   const SplitFinder finder(cfg_.split);
   TrainResult result{.model = Model(base_score, make_loss(cfg_.loss))};
 
-  // Step-5 traversal runs the completed tree in flat SoA form through the
-  // blocked SIMD traversal kernel; one scratch FlatTree is re-encoded per
-  // tree (allocation-free once capacity is warm), and the per-field column
-  // pointers never change.
-  const std::vector<const BinIndex*> col_ptrs = column_pointers(data);
-  FlatTree flat_scratch;
-
   // Warm start: copy the init ensemble into the result and replay each of
-  // its trees through the same blocked step-5 traversal the training loop
-  // uses, updating preds and recomputing gradients in ascending record
-  // order -- the identical arithmetic a cold run would have performed had
-  // it just grown these trees, so everything downstream (histograms,
-  // splits, weights) is bit-identical across threads / shards / SIMD.
+  // its trees -- which were not grown on these rows, so they have no leaf
+  // spans -- through the blocked SIMD traversal kernel, updating preds and
+  // recomputing gradients in ascending record order. That is the
+  // identical arithmetic step 5 performs for a tree it just grew, so
+  // everything downstream (histograms, splits, weights) is bit-identical
+  // across threads / shards / SIMD.
   if (cfg_.init_model != nullptr) {
+    const std::vector<const BinIndex*> col_ptrs = column_pointers(data);
+    FlatTree flat_scratch;
     const auto& ker0 = util::simd::kernels();
     for (const Tree& init_tree : cfg_.init_model->trees()) {
       flat_scratch.assign(init_tree);
@@ -155,13 +165,11 @@ TrainResult Trainer::train(const BinnedDataset& data, StepTrace* trace,
 
   for (std::uint32_t t = 0; t < cfg_.num_trees; ++t) {
     Tree tree;
-    std::deque<FrontierNode> frontier;
-    // Level-by-level growth aggregates child binning per level (one record
-    // stream per level, paper SS II-A); indexed by depth. The node count
-    // rides along so the aggregated event reports how many per-node
-    // histograms it covers (StepEvent::histograms).
-    std::vector<std::uint64_t> level_hist_records;
-    std::vector<std::uint32_t> level_hist_nodes;
+    frontier.clear();
+    std::size_t head = 0;
+    level_hist_records.clear();
+    level_hist_nodes.clear();
+    leaves.clear();
 
     // Reset arena 0 to ascending row order: the partition is stable, so
     // every node span stays ascending all the way down -- histogram
@@ -196,16 +204,30 @@ TrainResult Trainer::train(const BinnedDataset& data, StepTrace* trace,
       frontier.push_back(std::move(root));
     }
 
-    while (!frontier.empty()) {
-      FrontierNode node = std::move(frontier.front());
-      frontier.pop_front();
+    // Weights leaf `id`, whose records are arena `buf`'s [begin, end), and
+    // keeps that span for step 5.
+    auto add_leaf = [&](std::int32_t id, const BinStats& totals,
+                        std::int32_t depth, std::uint64_t begin,
+                        std::uint64_t end, std::uint8_t buf) {
+      const double w =
+          cfg_.learning_rate * leaf_weight(totals, cfg_.split.lambda);
+      tree.set_leaf_weight(id, w);
+      leaves.push_back(LeafSpan{.begin = begin,
+                                .end = end,
+                                .delta = static_cast<float>(w),
+                                .tree_node = id,
+                                .depth = depth,
+                                .buf = buf});
+      leaf_depth_sum += depth;
+      ++leaf_count;
+    };
+
+    while (head < frontier.size()) {
+      FrontierNode node = std::move(frontier[head++]);
 
       auto make_leaf = [&](const BinStats& totals) {
-        tree.set_leaf_weight(node.tree_node,
-                             cfg_.learning_rate *
-                                 leaf_weight(totals, cfg_.split.lambda));
-        leaf_depth_sum += node.depth;
-        ++leaf_count;
+        add_leaf(node.tree_node, totals, node.depth, node.begin, node.end,
+                 node.buf);
         hist_pool.release(std::move(node.hist));
       };
 
@@ -252,18 +274,15 @@ TrainResult Trainer::train(const BinnedDataset& data, StepTrace* trace,
       const std::int32_t child_depth = node.depth + 1;
       const bool children_may_split =
           child_depth < static_cast<std::int32_t>(cfg_.max_depth);
+      const std::uint64_t mid = node.begin + n_left;
 
       if (!children_may_split) {
         // Children are leaves; their totals come from the split evaluation,
         // no further binning needed.
-        tree.set_leaf_weight(left_id, cfg_.learning_rate *
-                                          leaf_weight(split->left,
-                                                      cfg_.split.lambda));
-        tree.set_leaf_weight(right_id, cfg_.learning_rate *
-                                           leaf_weight(split->right,
-                                                       cfg_.split.lambda));
-        leaf_depth_sum += 2.0 * child_depth;
-        leaf_count += 2;
+        add_leaf(left_id, split->left, child_depth, node.begin, mid,
+                 child_buf);
+        add_leaf(right_id, split->right, child_depth, mid, node.end,
+                 child_buf);
         hist_pool.release(std::move(node.hist));
         continue;
       }
@@ -278,7 +297,6 @@ TrainResult Trainer::train(const BinnedDataset& data, StepTrace* trace,
       large.tree_node = left_smaller ? right_id : left_id;
       small.depth = large.depth = child_depth;
       small.buf = large.buf = child_buf;
-      const std::uint64_t mid = node.begin + n_left;
       small.begin = left_smaller ? node.begin : mid;
       small.end = left_smaller ? mid : node.end;
       large.begin = left_smaller ? mid : node.begin;
@@ -334,65 +352,50 @@ TrainResult Trainer::train(const BinnedDataset& data, StepTrace* trace,
       }
     }
 
-    // Step 5: pass every record through the completed tree, update the
-    // prediction, and recompute gradient statistics for the next tree.
-    // Records are independent; per-chunk hop sums are integers, so the
-    // reduction is exact at any thread count.
-    std::fill(chunk_sums.begin(), chunk_sums.end(), 0.0);
-    flat_scratch.assign(tree);
-    const auto& ker = util::simd::kernels();
-    pool.for_chunks(
-        0, n, kRecordGrain, [&](std::uint64_t b, std::uint64_t e, unsigned c) {
-          double chunk_hops = 0.0;
-          double wts[util::simd::kMaxPredictTile];
-          std::uint32_t tile_hops[util::simd::kMaxPredictTile];
-          const util::simd::FlatTreeView view = flat_scratch.view();
-          // Column-major access: records are visited in ascending order, so
-          // the tree's few relevant columns stream from cache; the blocked
-          // kernel advances a whole tile level-synchronously, overlapping
-          // the tile's bin loads. Traversal is pure routing and the
-          // per-record updates below run in ascending record order, so the
-          // output matches the per-record loop bit for bit at every
-          // dispatch level.
-          for (std::uint64_t r0 = b; r0 < e; r0 += ker.predict_tile) {
-            const std::size_t m = static_cast<std::size_t>(
-                std::min<std::uint64_t>(ker.predict_tile, e - r0));
-            ker.traverse_block(view, col_ptrs.data(), r0, m, wts, tile_hops);
-            for (std::size_t i = 0; i < m; ++i) {
-              const std::uint64_t r = r0 + i;
-              preds[r] += static_cast<float>(wts[i]);
-              gradients[r] = loss->gradients(preds[r], data.labels()[r]);
-              chunk_hops += tile_hops[i];
-            }
-          }
-          chunk_sums[c] += chunk_hops;
-        });
-    double hops = 0.0;
-    for (const double s : chunk_sums) hops += s;
-    emit(trace, StepEvent{.kind = StepKind::kTraversal,
-                          .tree = static_cast<std::int32_t>(t),
-                          .depth = static_cast<std::int32_t>(tree.max_depth()),
-                          .records = n,
-                          .fields_touched = static_cast<std::uint32_t>(
-                              tree.relevant_fields().size()),
-                          .record_fields = num_fields,
-                          .avg_path_length = hops / static_cast<double>(n)});
-
-    TreeStats stats;
-    stats.leaves = tree.num_leaves();
-    stats.depth = tree.max_depth();
+    // Step 5: every record already sits in its leaf's arena span (see
+    // LeafSpan), so the tree just grown is not traversed again. Each leaf's
+    // float delta is scattered to its records, then one dense pass in
+    // ascending record order updates the prediction, refreshes the
+    // gradient statistics for the next tree, and sums the quantized loss
+    // terms. That is the per-record arithmetic of the blocked traversal,
+    // so every bit matches it, and the hops sum(depth x span rows) are the
+    // integer the traversal counted.
+    const std::uint64_t hops = order_leaf_spans(leaves, n);
+    pool.for_chunks(0, n, kRecordGrain,
+                    [&](std::uint64_t b, std::uint64_t e, unsigned) {
+                      scatter_leaf_deltas(leaves, row_bufs, b, e, 0, deltas);
+                    });
     std::fill(chunk_sums.begin(), chunk_sums.end(), 0.0);
     pool.for_chunks(
         0, n, kRecordGrain, [&](std::uint64_t b, std::uint64_t e, unsigned c) {
           double chunk_loss = 0.0;
           for (std::uint64_t r = b; r < e; ++r) {
+            preds[r] += deltas[r];
+            const LossEval ev = loss->evaluate(preds[r], data.labels()[r]);
+            gradients[r] = ev.grad;
             // Quantized terms make the reduction exact in any grouping, so
             // train_loss (and the step-6 early-stop decisions it feeds) is
             // bit-identical across thread and shard counts.
-            chunk_loss += quantize_stat(loss->value(preds[r], data.labels()[r]));
+            chunk_loss += quantize_stat(ev.value);
           }
           chunk_sums[c] += chunk_loss;
         });
+    if (trace != nullptr) {
+      trace->add(StepEvent{
+          .kind = StepKind::kTraversal,
+          .tree = static_cast<std::int32_t>(t),
+          .depth = static_cast<std::int32_t>(tree.max_depth()),
+          .records = n,
+          .fields_touched =
+              static_cast<std::uint32_t>(tree.relevant_fields().size()),
+          .record_fields = num_fields,
+          .avg_path_length =
+              static_cast<double>(hops) / static_cast<double>(n)});
+    }
+
+    TreeStats stats;
+    stats.leaves = tree.num_leaves();
+    stats.depth = tree.max_depth();
     double total_loss = 0.0;
     for (const double s : chunk_sums) total_loss += s;
     // Loss terms are non-negative, so the total bounds every partial sum;
@@ -431,7 +434,8 @@ TrainResult Trainer::train(const BinnedDataset& data, StepTrace* trace,
   result.hot_path.histogram_allocations = hist_pool.allocations();
   result.hot_path.histogram_acquires = hist_pool.acquires();
   result.hot_path.arena_bytes =
-      (row_bufs[0].size() + row_bufs[1].size()) * sizeof(std::uint32_t);
+      (row_bufs[0].size() + row_bufs[1].size()) * sizeof(std::uint32_t) +
+      deltas.size() * sizeof(float);
   result.hot_path.row_major_matrix_bytes =
       RecordLayout::software_row_major_bytes(n, num_fields, sizeof(BinIndex));
 

@@ -42,7 +42,7 @@ struct TrainerConfig {
   double early_stop_rel_improvement = 0.0;
   std::uint32_t early_stop_patience = 3;
   /// Worker threads for the hot path (histogram build, partition, step-5
-  /// traversal). 0 = auto: the BOOSTER_THREADS environment variable when
+  /// update). 0 = auto: the BOOSTER_THREADS environment variable when
   /// set, otherwise the hardware concurrency. 1 forces the serial path.
   /// The partition is stable, counts are exact, and histogram accumulation
   /// is quantized-exact (gbdt::quantize_stat), so trained models --
@@ -60,8 +60,8 @@ struct TrainerConfig {
   /// scratch. The base score and loss come from the init model (the
   /// config's `loss` must name the same loss), its trees are copied into
   /// the result, and gradients are re-seeded by replaying them through the
-  /// same blocked step-5 traversal the training loop uses -- so a
-  /// warm-started run is bit-identical across threads, shards, and SIMD
+  /// blocked SIMD traversal with the per-record arithmetic of step 5 -- so
+  /// a warm-started run is bit-identical across threads, shards, and SIMD
   /// levels exactly like a cold one. `num_trees` counts *additional* trees
   /// on top of the init model. Non-owning: the caller keeps the model
   /// alive through train().
@@ -84,7 +84,7 @@ struct ShardHotPathStats {
   std::uint64_t histogram_allocations = 0;
   std::uint64_t histogram_acquires = 0;
   std::uint64_t arena_bytes = 0;
-  /// Sub-chunks each of this shard's tasks (build, partition, traversal)
+  /// Sub-chunks each of this shard's tasks (build, partition, step 5)
   /// was split into: ceil(threads / shards), so threads > shards no longer
   /// idles the surplus (1 = whole-shard tasks). Any chunking merges to the
   /// same bits -- see gbdt::quantize_stat.
@@ -119,7 +119,8 @@ struct HotPathStats {
   /// Intra-shard chunk-partial merges from sub-chunking (threads >
   /// shards); local reductions that never cross a transport.
   std::uint64_t chunk_merges = 0;
-  /// Bytes of the persistent ping-pong row-index arenas (all shards).
+  /// Bytes of the persistent ping-pong row-index arenas plus the step-5
+  /// per-record leaf-delta scratch (all shards).
   std::uint64_t arena_bytes = 0;
   /// Bytes of the dataset's redundant row-major bin matrix -- the memory
   /// the layout change trades for the single-pass histogram kernel.

@@ -31,7 +31,13 @@ enum class StepKind : std::uint8_t {
   kHistogram = 0,   // step 1: histogram-binning of gradient statistics
   kSplitSelect = 1, // step 2: scanning bins to choose the split (host)
   kPartition = 2,   // step 3: single-predicate evaluation / partitioning
-  kTraversal = 3,   // step 5: one-tree traversal + gradient update
+  // Step 5: one-tree traversal + gradient update. The event reports the
+  // modeled traversal -- every record routed through the tree, reading the
+  // tree's fields, with the realized mean path length -- even though the
+  // host trainer resolves each record's leaf from the partition's leaf
+  // spans instead of walking the tree (gbdt/hotpath.h LeafSpan). The
+  // counts are the same either way.
+  kTraversal = 3,
 };
 
 inline constexpr int kNumStepKinds = 4;

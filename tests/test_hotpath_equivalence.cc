@@ -5,10 +5,14 @@
 // models with identical structure/split decisions at 1, 2, and 8 threads.
 // Also asserts the steady-state allocation-free property: histogram pool
 // misses stop growing with more trees, and partitioning uses one arena.
+// LeafSpanStep5 checks step 5 -- resolved from the partition's leaf spans
+// rather than a tree traversal -- against an independent per-record
+// Tree::predict reference.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <numeric>
+#include <tuple>
 #include <vector>
 
 #include "gbdt/binning.h"
@@ -230,9 +234,11 @@ TEST(HotPathEquivalence, SteadyStateIsAllocationFree) {
     EXPECT_EQ(long_run.hot_path.histogram_allocations,
               short_run.hot_path.histogram_allocations);
     // Partitioning uses exactly one persistent arena + scratch (uint32
-    // row indices), not per-node row vectors.
+    // row indices), not per-node row vectors; step 5 adds one persistent
+    // float leaf delta per record.
     EXPECT_EQ(long_run.hot_path.arena_bytes,
-              2 * data.num_records() * sizeof(std::uint32_t));
+              2 * data.num_records() * sizeof(std::uint32_t) +
+                  data.num_records() * sizeof(float));
   }
 }
 
@@ -306,6 +312,149 @@ TEST(HotPathEquivalence, CountU64RoundTripsExactCounts) {
   s.count = 0.0;
   EXPECT_EQ(s.count_u64(), 0u);
 }
+
+// Step 5 reads each record's leaf off the arena spans the partitions left
+// behind. The reference here never looks at spans: it re-accumulates every
+// record's float prediction tree by tree with Tree::predict, and counts
+// hops with Tree::path_length. Per-tree train_loss (quantized terms, exact
+// in any order) and the kTraversal event's path length must match it
+// exactly. Trees of the init model are replayed, not grown, and carry
+// placeholder stats and no event.
+void expect_step5_matches_reference(const BinnedDataset& data,
+                                    const TrainerConfig& cfg,
+                                    const TrainResult& result,
+                                    const trace::StepTrace& trace) {
+  const std::uint64_t n = data.num_records();
+  const std::uint32_t replayed =
+      cfg.init_model == nullptr ? 0 : cfg.init_model->num_trees();
+  std::vector<const trace::StepEvent*> traversals;
+  for (const trace::StepEvent& e : trace.events()) {
+    if (e.kind == trace::StepKind::kTraversal) traversals.push_back(&e);
+  }
+  ASSERT_EQ(traversals.size(), result.model.num_trees() - replayed);
+  ASSERT_EQ(result.tree_stats.size(), result.model.num_trees());
+
+  const auto loss = make_loss(cfg.loss);
+  std::vector<float> preds(n, static_cast<float>(result.model.base_score()));
+  for (std::uint32_t t = 0; t < result.model.num_trees(); ++t) {
+    const Tree& tree = result.model.trees()[t];
+    std::uint64_t hops = 0;
+    double loss_sum = 0.0;
+    for (std::uint64_t r = 0; r < n; ++r) {
+      preds[r] += static_cast<float>(tree.predict(data, r));
+      hops += tree.path_length(data, r);
+      loss_sum += quantize_stat(loss->value(preds[r], data.labels()[r]));
+    }
+    if (t < replayed) continue;
+    EXPECT_EQ(result.tree_stats[t].train_loss,
+              loss_sum / static_cast<double>(n))
+        << "tree " << t;
+    const trace::StepEvent& ev = *traversals[t - replayed];
+    EXPECT_EQ(ev.tree, static_cast<std::int32_t>(t - replayed));
+    EXPECT_EQ(ev.records, n);
+    EXPECT_EQ(ev.avg_path_length,
+              static_cast<double>(hops) / static_cast<double>(n))
+        << "tree " << t;
+  }
+}
+
+/// Counts leaves shallower than the depth budget (made by make_leaf, not
+/// by the last-level split).
+std::uint32_t shallow_leaves(const TrainResult& result,
+                             std::uint32_t max_depth) {
+  std::uint32_t count = 0;
+  for (const Tree& tree : result.model.trees()) {
+    for (std::uint32_t id = 0; id < tree.num_nodes(); ++id) {
+      const TreeNode& node = tree.node(static_cast<std::int32_t>(id));
+      count += node.is_leaf &&
+               node.depth < static_cast<std::int32_t>(max_depth);
+    }
+  }
+  return count;
+}
+
+class LeafSpanStep5
+    : public ::testing::TestWithParam<
+          std::tuple<GrowthOrder, unsigned, std::uint32_t>> {
+ protected:
+  TrainerConfig config() const {
+    TrainerConfig cfg;
+    cfg.num_trees = 4;
+    cfg.max_depth = 4;
+    cfg.loss = "logistic";
+    std::tie(cfg.growth, cfg.num_threads, cfg.num_shards) = GetParam();
+    return cfg;
+  }
+  /// Trains with a trace and checks step 5 against the reference.
+  TrainResult train_and_check(const BinnedDataset& data,
+                              const TrainerConfig& cfg) const {
+    trace::StepTrace trace;
+    TrainResult result = Trainer(cfg).train(data, &trace);
+    expect_step5_matches_reference(data, cfg, result, trace);
+    return result;
+  }
+};
+
+TEST_P(LeafSpanStep5, DepthLimitLeaves) {
+  const auto data = random_binned(3000, 51);
+  for (const char* loss : {"logistic", "squared"}) {
+    TrainerConfig cfg = config();
+    cfg.loss = loss;
+    train_and_check(data, cfg);
+  }
+  // A zero depth budget makes the root itself a depth-limit leaf.
+  TrainerConfig stump = config();
+  stump.max_depth = 0;
+  const auto result = train_and_check(data, stump);
+  EXPECT_EQ(result.model.trees()[0].num_nodes(), 1u);
+}
+
+TEST_P(LeafSpanStep5, MinNodeRecordsLeaves) {
+  const auto data = random_binned(3000, 52);
+  TrainerConfig cfg = config();
+  cfg.max_depth = 6;
+  cfg.min_node_records = 400;
+  const auto result = train_and_check(data, cfg);
+  EXPECT_GT(shallow_leaves(result, cfg.max_depth), 0u);
+}
+
+TEST_P(LeafSpanStep5, NoGainLeaves) {
+  const auto data = random_binned(3000, 53);
+  TrainerConfig cfg = config();
+  cfg.max_depth = 6;
+  cfg.split.min_split_gain = 2.0;
+  const auto result = train_and_check(data, cfg);
+  EXPECT_GT(result.model.trees()[0].num_leaves(), 1u);
+  EXPECT_GT(shallow_leaves(result, cfg.max_depth), 0u);
+}
+
+TEST_P(LeafSpanStep5, WarmStartFromInitModel) {
+  const auto data = random_binned(3000, 54);
+  const TrainResult init = Trainer(config()).train(data);
+  TrainerConfig cfg = config();
+  cfg.init_model = &init.model;
+  cfg.num_trees = 3;
+  const auto result = train_and_check(data, cfg);
+  EXPECT_EQ(result.model.num_trees(), init.model.num_trees() + 3);
+}
+
+TEST_P(LeafSpanStep5, EarlyStop) {
+  const auto data = random_binned(3000, 55);
+  TrainerConfig cfg = config();
+  cfg.num_trees = 20;
+  cfg.early_stop_rel_improvement = 0.2;
+  cfg.early_stop_patience = 1;
+  const auto result = train_and_check(data, cfg);
+  EXPECT_TRUE(result.early_stopped);
+  EXPECT_LT(result.model.num_trees(), cfg.num_trees);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    GrowthThreadsShards, LeafSpanStep5,
+    ::testing::Combine(::testing::Values(GrowthOrder::kVertexByVertex,
+                                         GrowthOrder::kLevelByLevel),
+                       ::testing::Values(1u, 4u),
+                       ::testing::Values(1u, 3u)));
 
 }  // namespace
 }  // namespace booster::gbdt

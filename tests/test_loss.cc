@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 namespace booster::gbdt {
 namespace {
@@ -39,6 +41,36 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values("squared", "logistic", "ranking"),
                        ::testing::Values(-2.0f, -0.5f, 0.0f, 0.7f, 3.0f),
                        ::testing::Values(0.0f, 1.0f, 2.0f)));
+
+// The fused evaluate() feeds the step-5 gradient refresh and the training
+// loss, so it must reproduce gradients() and value() bit for bit -- signed
+// zeros included -- for every loss, for hard and soft labels, across the
+// logistic clamp (|sigmoid - {0, 1}| < 1e-15 near |pred| = 34.54) and
+// hessian-floor (p (1 - p) < 1e-16 near |pred| = 36.84) edges.
+TEST(Losses, EvaluateMatchesSeparateCallsBitwise) {
+  const float preds[] = {-40.0f,   -36.9f, -36.84f, -36.8f, -34.6f,
+                         -34.54f,  -34.5f, -1.0f,   -1e-8f, -0.0f,
+                         0.0f,     1e-8f,  1.0f,    34.5f,  34.54f,
+                         34.6f,    36.8f,  36.84f,  36.9f,  40.0f};
+  for (const char* name : {"squared", "logistic", "ranking"}) {
+    const auto loss = make_loss(name);
+    for (const float y : {0.0f, 1.0f, 0.25f}) {
+      for (const float pred : preds) {
+        const LossEval ev = loss->evaluate(pred, y);
+        const GradientPair gp = loss->gradients(pred, y);
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(ev.grad.g),
+                  std::bit_cast<std::uint32_t>(gp.g))
+            << name << " pred=" << pred << " y=" << y;
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(ev.grad.h),
+                  std::bit_cast<std::uint32_t>(gp.h))
+            << name << " pred=" << pred << " y=" << y;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(ev.value),
+                  std::bit_cast<std::uint64_t>(loss->value(pred, y)))
+            << name << " pred=" << pred << " y=" << y;
+      }
+    }
+  }
+}
 
 TEST(SquaredLoss, GradientsAreResidualAndUnitHessian) {
   SquaredLoss loss;

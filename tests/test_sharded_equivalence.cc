@@ -239,14 +239,17 @@ TEST(ShardedEquivalence, SteadyStateIsAllocationFreePerShard) {
       EXPECT_EQ(long_run.hot_path.per_shard[s].histogram_allocations,
                 short_run.hot_path.per_shard[s].histogram_allocations)
           << "shard " << s;
-      // Two ping-pong arenas per shard, uint32 row ids, shard-sized.
+      // Two ping-pong arenas per shard, uint32 row ids, plus the step-5
+      // float leaf delta per row, shard-sized.
       EXPECT_EQ(long_run.hot_path.per_shard[s].arena_bytes,
                 2 * long_run.hot_path.per_shard[s].rows *
-                    sizeof(std::uint32_t))
+                        sizeof(std::uint32_t) +
+                    long_run.hot_path.per_shard[s].rows * sizeof(float))
           << "shard " << s;
     }
     EXPECT_EQ(long_run.hot_path.arena_bytes,
-              2 * data.num_records() * sizeof(std::uint32_t));
+              2 * data.num_records() * sizeof(std::uint32_t) +
+                  data.num_records() * sizeof(float));
   }
 }
 
