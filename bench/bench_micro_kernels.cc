@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the hot kernels of the functional
 // library and simulators: histogram build (software and BU-array), split
-// scan, predicate partition, tree traversal, and the cycle-level DRAM model.
+// scan, predicate partition (the accelerator model's and the trainer's),
+// tree traversal, and the cycle-level DRAM model.
 // These measure *simulator* throughput, useful when tuning the functional
 // pipeline; the paper's figures come from the bench_fig* binaries.
 #include <benchmark/benchmark.h>
@@ -13,10 +14,12 @@
 #include "gbdt/binning.h"
 #include "gbdt/flat_ensemble.h"
 #include "gbdt/histogram.h"
+#include "gbdt/hotpath.h"
 #include "gbdt/split.h"
 #include "gbdt/trainer.h"
 #include "memsim/memory_system.h"
 #include "util/simd.h"
+#include "util/thread_pool.h"
 #include "workloads/runner.h"
 #include "workloads/synth.h"
 
@@ -99,6 +102,44 @@ void BM_Partition(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * rows.size());
 }
 BENCHMARK(BM_Partition);
+
+// The trainer's step-3 kernel, gbdt::partition_to, on the root's best
+// split over 2^18 fraud rows, in place with a caller scratch as Trainer
+// runs it; the argument is the thread count. (BM_Partition above times
+// core::PredicateEngine, the accelerator model, not this kernel.) A stable
+// partition by the same split is idempotent, so every iteration after the
+// first re-partitions an already partitioned span: the same rows and the
+// same writes.
+void BM_PartitionTo(benchmark::State& state) {
+  static const gbdt::BinnedDataset data = gbdt::Binner().bin(
+      workloads::synthesize(workloads::fraud_spec(), 1 << 18, 42));
+  const std::uint64_t n = data.num_records();
+  std::vector<std::uint32_t> rows(n);
+  std::iota(rows.begin(), rows.end(), 0);
+  // Logistic-loss gradients at a 0.5 prior: g = 0.5 - label, h = 0.25.
+  std::vector<gbdt::GradientPair> grads(n);
+  for (std::uint64_t r = 0; r < n; ++r) {
+    grads[r] = gbdt::GradientPair{0.5f - data.labels()[r], 0.25f};
+  }
+  gbdt::Histogram hist(data);
+  hist.build(data, rows, grads);
+  const auto split = gbdt::SplitFinder().find_best(hist, data);
+  if (!split) {
+    state.SkipWithError("no admissible root split");
+    return;
+  }
+  util::ThreadPool pool(static_cast<unsigned>(state.range(0)));
+  std::vector<std::uint32_t> scratch(n);
+  std::vector<std::uint64_t> chunk_counts(pool.num_threads() + 1);
+  for (auto _ : state) {
+    gbdt::partition_to(rows, rows, 0, n, split->left.count_u64(), data,
+                       *split, pool, chunk_counts, scratch);
+    benchmark::DoNotOptimize(rows.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_PartitionTo)->ArgName("threads")->Arg(1)->Arg(4);
 
 void BM_TreeTraversal(benchmark::State& state) {
   const auto& w = higgs_sample();

@@ -1,6 +1,7 @@
 #include "gbdt/hotpath.h"
 
 #include <algorithm>
+#include <memory>
 #include <utility>
 
 #include "util/check.h"
@@ -42,82 +43,111 @@ void build_histogram_parallel(Histogram& out, const BinnedDataset& data,
   }
 }
 
+void fill_split_sides(const SplitInfo& split, const BinnedDataset& data,
+                      std::vector<std::uint8_t>& sides) {
+  const std::uint32_t num_bins = data.field_bins(split.field).num_bins;
+  sides.resize(num_bins);
+  for (std::uint32_t bin = 0; bin < num_bins; ++bin) {
+    sides[bin] = split_goes_left(split, static_cast<BinIndex>(bin)) ? 1 : 0;
+  }
+}
+
+std::uint64_t partition_chunk(const std::uint32_t* src, std::uint64_t count,
+                              const BinIndex* col, const std::uint8_t* sides,
+                              std::uint32_t* tmp) {
+  // After i rows, left + (count - right) == i, so both cursors stay inside
+  // [0, count): each row is stored at both, and only the cursor on its
+  // side advances (the other slot is overwritten later, or by the same row
+  // when the cursors meet on the last one).
+  std::uint64_t left = 0;
+  std::uint64_t right = count;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const std::uint32_t row = src[i];
+    const std::uint64_t goes_left = sides[col[row]];
+    tmp[left] = row;
+    tmp[right - 1] = row;
+    left += goes_left;
+    right -= goes_left ^ 1;
+  }
+  return left;
+}
+
+void place_partitioned_chunk(const std::uint32_t* tmp, std::uint64_t count,
+                             std::uint64_t lefts, std::uint32_t* left_dst,
+                             std::uint32_t* right_dst) {
+  std::copy(tmp, tmp + lefts, left_dst);
+  // The rights were written backward from the chunk end.
+  std::reverse_copy(tmp + lefts, tmp + count, right_dst);
+}
+
 void partition_to(std::span<const std::uint32_t> src,
                   std::span<std::uint32_t> dst, std::uint64_t begin,
                   std::uint64_t end, std::uint64_t n_left,
                   const BinnedDataset& data, const SplitInfo& split,
                   util::ThreadPool& pool,
-                  std::span<std::uint64_t> chunk_counts) {
+                  std::span<std::uint64_t> chunk_counts,
+                  std::span<std::uint32_t> scratch) {
   BOOSTER_CHECK(begin <= end && end <= src.size());
   BOOSTER_CHECK(dst.size() >= end);
   const std::uint64_t count = end - begin;
   BOOSTER_CHECK(n_left <= count);
   if (count == 0) return;
-  const auto& col = data.column(split.field);
 
   const unsigned chunks = pool.num_chunks(count, kPartitionGrain);
-  BOOSTER_CHECK(chunk_counts.size() >= chunks);
-
-  if (chunks <= 1) {
-    // Serial fast path: one fused pass with both sides written forward
-    // (rights start at the position n_left fixes in advance).
-    std::uint64_t left_w = begin;
-    std::uint64_t right_w = begin + n_left;
-    for (std::uint64_t i = begin; i < end; ++i) {
-      const std::uint32_t row = src[i];
-      if (split_goes_left(split, col[row])) {
-        // A left overflow stays inside [begin, end) (it bleeds into the
-        // right region) and is caught by the final check; a right overflow
-        // would write past `end`, so it must be checked before the write.
-        dst[left_w++] = row;
-      } else {
-        BOOSTER_CHECK_MSG(right_w < end,
-                          "partition disagrees with the split's bucket counts");
-        dst[right_w++] = row;
-      }
-    }
-    BOOSTER_CHECK_MSG(left_w == begin + n_left && right_w == end,
-                      "partition disagrees with the split's bucket counts");
-    return;
+  BOOSTER_CHECK(chunk_counts.size() > chunks);
+  std::unique_ptr<std::uint32_t[]> owned;
+  std::uint32_t* tmp = nullptr;
+  if (scratch.empty()) {
+    owned = std::make_unique_for_overwrite<std::uint32_t[]>(count);
+    tmp = owned.get();
+  } else {
+    BOOSTER_CHECK(scratch.size() >= end);
+    BOOSTER_CHECK_MSG(scratch.data() != src.data() &&
+                          scratch.data() != dst.data(),
+                      "partition scratch must not alias its source or "
+                      "destination");
+    tmp = scratch.data() + begin;
   }
+  // The calling thread's table storage keeps its capacity, so warm
+  // partitions allocate nothing. The chunks read it through `side_table`
+  // (naming the thread_local there would give each worker its own).
+  static thread_local std::vector<std::uint8_t> sides;
+  fill_split_sides(split, data, sides);
+  const std::uint8_t* side_table = sides.data();
+  const BinIndex* col = data.column(split.field).data();
 
-  // Pass 1: per-chunk left counts (the parallel path still needs per-chunk
-  // prefix offsets, not just the total).
+  // Pass 1: each chunk [b, e) of the span into tmp's matching range.
   pool.for_chunks(begin, end, kPartitionGrain,
                   [&](std::uint64_t b, std::uint64_t e, unsigned c) {
-                    std::uint64_t chunk_left = 0;
-                    for (std::uint64_t i = b; i < e; ++i) {
-                      chunk_left += split_goes_left(split, col[src[i]]);
-                    }
-                    chunk_counts[c] = chunk_left;
+                    chunk_counts[c] =
+                        partition_chunk(src.data() + b, e - b, col,
+                                        side_table, tmp + (b - begin));
                   });
 
-  // Exclusive prefix over chunk counts -> each chunk's left write base.
+  // Exclusive prefix over the chunk counts -> each chunk's left write base;
+  // chunk_counts[chunks] is the realized left total.
   std::uint64_t total_left = 0;
   for (unsigned c = 0; c < chunks; ++c) {
     const std::uint64_t chunk_left = chunk_counts[c];
     chunk_counts[c] = total_left;
     total_left += chunk_left;
   }
+  chunk_counts[chunks] = total_left;
   BOOSTER_CHECK_MSG(total_left == n_left,
                     "partition disagrees with the split's bucket counts");
 
-  // Pass 2: scatter -- chunk c's lefts start at begin + left_prefix[c]; its
-  // rights start after all lefts, offset by the rights that precede the
-  // chunk. Chunk-local writes preserve order, so the partition is stable.
+  // Pass 2: chunk c's lefts start at begin + left_prefix[c]; its rights
+  // start after all lefts, offset by the rights that precede the chunk.
+  // Chunks are placed in chunk order, so the partition is stable.
   pool.for_chunks(begin, end, kPartitionGrain,
                   [&](std::uint64_t b, std::uint64_t e, unsigned c) {
-                    std::uint64_t left_w = begin + chunk_counts[c];
-                    std::uint64_t right_w =
-                        begin + total_left + (b - begin) - chunk_counts[c];
-                    for (std::uint64_t i = b; i < e; ++i) {
-                      const std::uint32_t row = src[i];
-                      if (split_goes_left(split, col[row])) {
-                        dst[left_w++] = row;
-                      } else {
-                        dst[right_w++] = row;
-                      }
-                    }
+                    const std::uint64_t lefts_before = chunk_counts[c];
+                    place_partitioned_chunk(
+                        tmp + (b - begin), e - b,
+                        chunk_counts[c + 1] - lefts_before,
+                        dst.data() + begin + lefts_before,
+                        dst.data() + begin + n_left + (b - begin) -
+                            lefts_before);
                   });
 }
 
@@ -141,7 +171,7 @@ std::uint64_t order_leaf_spans(std::span<LeafSpan> leaves, std::uint64_t rows) {
 }
 
 void scatter_leaf_deltas(std::span<const LeafSpan> leaves,
-                         const std::vector<std::uint32_t> (&arenas)[2],
+                         std::span<const std::uint32_t> arena,
                          std::uint64_t b, std::uint64_t e,
                          std::uint64_t row_base, std::span<float> delta) {
   // First leaf ending after b; spans are in position order, so their ends
@@ -149,8 +179,8 @@ void scatter_leaf_deltas(std::span<const LeafSpan> leaves,
   auto it = std::partition_point(
       leaves.begin(), leaves.end(),
       [b](const LeafSpan& leaf) { return leaf.end <= b; });
+  const std::uint32_t* rows = arena.data();
   for (; it != leaves.end() && it->begin < e; ++it) {
-    const std::uint32_t* rows = arenas[it->buf].data();
     const float d = it->delta;
     const std::uint64_t end = std::min(it->end, e);
     for (std::uint64_t i = std::max(it->begin, b); i < end; ++i) {

@@ -34,8 +34,8 @@ ShardGroup::ShardGroup(const BinnedDataset& data, const TrainerConfig& cfg,
     sh.row_begin = begin;
     sh.row_end = end;
     sh.pool.configure(data_);
-    sh.bufs[0].resize(end - begin);
-    sh.bufs[1].resize(end - begin);
+    sh.arena.resize(end - begin);
+    sh.scratch.resize(end - begin);
   }
   preds_.resize(n);
   gradients_.resize(n);
@@ -62,13 +62,12 @@ void ShardGroup::release_slot(std::uint32_t slot) {
 }
 
 void ShardGroup::add_leaf(std::int32_t tree_node, std::int32_t depth,
-                          std::uint8_t buf, std::uint32_t slot) {
+                          std::uint32_t slot) {
   for (std::uint32_t ls = 0; ls < num_local(); ++ls) {
     shards_[ls].leaves.push_back(LeafSpan{.begin = span_begin(slot, ls),
                                           .end = span_end(slot, ls),
                                           .tree_node = tree_node,
-                                          .depth = depth,
-                                          .buf = buf});
+                                          .depth = depth});
   }
 }
 
@@ -96,12 +95,11 @@ void ShardGroup::begin_tree(std::uint64_t root_rows) {
     Shard& sh = shards_[task / sub_];
     const auto [b, e] = chunk_range(0, sh.num_rows(), task % sub_, sub_);
     for (std::uint64_t i = b; i < e; ++i) {
-      sh.bufs[0][i] = static_cast<std::uint32_t>(sh.row_begin + i);
+      sh.arena[i] = static_cast<std::uint32_t>(sh.row_begin + i);
     }
   });
   Node root;
   root.slot = acquire_slot();
-  root.buf = 0;
   root.depth = 0;
   root.rows = root_rows;
   root.tree_node = 0;
@@ -123,7 +121,7 @@ bool ShardGroup::head_is_bounds_leaf() const {
 void ShardGroup::apply_leaf() {
   BOOSTER_CHECK(!frontier_.empty());
   const Node& head = frontier_.front();
-  add_leaf(head.tree_node, head.depth, head.buf, head.slot);
+  add_leaf(head.tree_node, head.depth, head.slot);
   release_slot(head.slot);
   frontier_.pop_front();
 }
@@ -134,42 +132,44 @@ bool ShardGroup::apply_split(const SplitInfo& split) {
   frontier_.pop_front();
   const std::uint64_t n_left_total = split.left.count_u64();
   const std::uint64_t n_right_total = node.rows - n_left_total;
-  const std::uint8_t child_buf = node.buf ^ 1;
   const std::uint32_t local = num_local();
 
   if (local > 0) {
-    // Phase 1 (count) and phase 2 (stable scatter) over the flattened
-    // (shard, sub-chunk) task grid: chunks are contiguous and written in
-    // chunk order, so each shard's partition is stable -- the row order
-    // the bit-identity argument needs -- while threads > shards still
-    // find work.
-    const auto& col = data_.column(split.field);
+    // The step-3 kernel of hotpath.h over the flattened (shard, sub-chunk)
+    // task grid, each shard's span partitioned in place: pass 1 writes
+    // every chunk into its own range of the shard's scratch, pass 2 places
+    // the chunks in chunk order, so each shard's partition is stable -- the
+    // row order the bit-identity argument needs -- while threads > shards
+    // still find work.
+    fill_split_sides(split, data_, sides_);
+    const BinIndex* col = data_.column(split.field).data();
     pool_->run_tasks(local * sub_, [&](unsigned task) {
       const std::uint32_t ls = task / sub_;
       Shard& sh = shards_[ls];
       const auto [b, e] = chunk_range(span_begin(node.slot, ls),
                                       span_end(node.slot, ls), task % sub_,
                                       sub_);
-      const std::vector<std::uint32_t>& src = sh.bufs[node.buf];
-      std::uint64_t lefts = 0;
-      for (std::uint64_t i = b; i < e; ++i) {
-        lefts += split_goes_left(split, col[src[i]]);
-      }
-      chunk_lefts_[task] = lefts;
+      chunk_lefts_[task] = partition_chunk(sh.arena.data() + b, e - b, col,
+                                           sides_.data(),
+                                           sh.scratch.data() + b);
     });
     for (std::uint32_t ls = 0; ls < local; ++ls) {
       std::uint64_t total = 0;
       for (std::uint32_t c = 0; c < sub_; ++c) {
-        total += chunk_lefts_[static_cast<std::size_t>(ls) * sub_ + c];
+        std::uint64_t& lefts =
+            chunk_lefts_[static_cast<std::size_t>(ls) * sub_ + c];
+        const std::uint64_t chunk_left = lefts;
+        lefts = total;
+        total += chunk_left;
       }
       shard_lefts_[ls] = total;
     }
     // When this group covers the whole partition (the single-rank world /
     // Trainer delegation path), the realized left total must equal the
     // split's claimed bucket count -- the cross-shard invariant the
-    // pre-distributed ShardedTrainer asserted. Partial groups can only
-    // check their chunks (below); rank 0's merged histogram counts imply
-    // the global identity.
+    // pre-distributed ShardedTrainer asserted. It is checked before pass 2
+    // writes anything outside the scratch. Partial groups cannot check it;
+    // rank 0's merged histogram counts imply the global identity.
     if (shard_begin_ == 0 && shard_end_ == num_shards_) {
       std::uint64_t group_left = 0;
       for (std::uint32_t ls = 0; ls < local; ++ls) {
@@ -185,25 +185,13 @@ bool ShardGroup::apply_split(const SplitInfo& split) {
       Shard& sh = shards_[ls];
       const std::uint64_t sb = span_begin(node.slot, ls);
       const auto [b, e] = chunk_range(sb, span_end(node.slot, ls), c, sub_);
-      std::uint64_t lefts_before = 0;
-      for (std::uint32_t p = 0; p < c; ++p) {
-        lefts_before += chunk_lefts_[static_cast<std::size_t>(ls) * sub_ + p];
-      }
-      const std::vector<std::uint32_t>& src = sh.bufs[node.buf];
-      std::vector<std::uint32_t>& dst = sh.bufs[child_buf];
-      std::uint64_t left_w = sb + lefts_before;
-      std::uint64_t right_w =
-          sb + shard_lefts_[ls] + ((b - sb) - lefts_before);
-      for (std::uint64_t i = b; i < e; ++i) {
-        const std::uint32_t row = src[i];
-        if (split_goes_left(split, col[row])) {
-          dst[left_w++] = row;
-        } else {
-          dst[right_w++] = row;
-        }
-      }
-      BOOSTER_CHECK_MSG(left_w == sb + lefts_before + chunk_lefts_[task],
-                        "shard partition disagrees with its count pass");
+      const std::uint64_t lefts_before = chunk_lefts_[task];
+      const std::uint64_t lefts_through =
+          c + 1 < sub_ ? chunk_lefts_[task + 1] : shard_lefts_[ls];
+      place_partitioned_chunk(
+          sh.scratch.data() + b, e - b, lefts_through - lefts_before,
+          sh.arena.data() + sb + lefts_before,
+          sh.arena.data() + sb + shard_lefts_[ls] + (b - sb) - lefts_before);
     });
   }
 
@@ -225,8 +213,8 @@ bool ShardGroup::apply_split(const SplitInfo& split) {
   if (child_depth >= static_cast<std::int32_t>(cfg_.max_depth)) {
     // Both children are terminal leaves: nothing further partitions their
     // rows this tree, so only their spans are kept (no pending build).
-    add_leaf(left_id, child_depth, child_buf, left_slot);
-    add_leaf(right_id, child_depth, child_buf, right_slot);
+    add_leaf(left_id, child_depth, left_slot);
+    add_leaf(right_id, child_depth, right_slot);
     release_slot(left_slot);
     release_slot(right_slot);
     return false;
@@ -234,12 +222,10 @@ bool ShardGroup::apply_split(const SplitInfo& split) {
 
   const bool left_smaller = n_left_total <= n_right_total;
   const Node left{.slot = left_slot,
-                  .buf = child_buf,
                   .depth = child_depth,
                   .rows = n_left_total,
                   .tree_node = left_id};
   const Node right{.slot = right_slot,
-                   .buf = child_buf,
                    .depth = child_depth,
                    .rows = n_right_total,
                    .tree_node = right_id};
@@ -275,8 +261,7 @@ void ShardGroup::build_pending() {
                                     span_end(pending_.slot, ls), c, sub_);
     Histogram& h = c == 0 ? sh.built : sh.partials[c - 1];
     h.build(data_,
-            std::span<const std::uint32_t>(sh.bufs[pending_.buf].data() + b,
-                                           e - b),
+            std::span<const std::uint32_t>(sh.arena.data() + b, e - b),
             gradients_);
   });
   // Chunk partials merge in chunk order; any grouping is exact, so the
@@ -333,7 +318,7 @@ void ShardGroup::finish_tree(const Tree& tree, const Loss& loss, double* hops,
   pool_->run_tasks(local * sub_, [&](unsigned task) {
     const Shard& sh = shards_[task / sub_];
     const auto [b, e] = chunk_range(0, sh.num_rows(), task % sub_, sub_);
-    scatter_leaf_deltas(sh.leaves, sh.bufs, b, e, row_base, deltas_);
+    scatter_leaf_deltas(sh.leaves, sh.arena, b, e, row_base, deltas_);
   });
   pool_->run_tasks(local * sub_, [&](unsigned task) {
     const Shard& sh = shards_[task / sub_];
@@ -394,7 +379,7 @@ std::vector<ShardHotPathStats> ShardGroup::shard_stats() const {
     ss.histogram_allocations = sh.pool.allocations();
     ss.histogram_acquires = sh.pool.acquires();
     ss.arena_bytes =
-        (sh.bufs[0].size() + sh.bufs[1].size()) * sizeof(std::uint32_t) +
+        (sh.arena.size() + sh.scratch.size()) * sizeof(std::uint32_t) +
         sh.num_rows() * sizeof(float);  // the shard's slice of deltas_
     ss.sub_chunks = sub_;
     stats.push_back(ss);

@@ -1,9 +1,10 @@
 // The per-shard half of sharded and distributed GBDT training: a
 // ShardGroup owns a contiguous range of the global shard partition (its
-// rows, gradient state, per-shard histogram pools, and ping-pong arenas)
-// and replays the tree-growth decision stream against it -- per-shard
-// histogram build, stable partition, and step 5 from the leaf spans the
-// partitions leave in the arenas. Both engines drive the same class:
+// rows, gradient state, per-shard histogram pools, row arenas and
+// partition scratch) and replays the tree-growth decision stream against
+// it -- per-shard histogram build, stable in-place partition (the step-3
+// kernel of hotpath.h), and step 5 from the leaf spans the partitions
+// leave in the arenas. Both engines drive the same class:
 //   * gbdt::ShardedTrainer / single-rank gbdt::DistributedTrainer: one
 //     group covering every shard, driven inline;
 //   * multi-rank gbdt::DistributedTrainer: one group per rank, remote
@@ -84,8 +85,8 @@ class ShardGroup {
   /// Pops the head as a leaf, keeping its spans for finish_tree.
   void apply_leaf();
 
-  /// Pops the head, partitions every owned shard's span by `split`
-  /// (stable, sub-chunked), and -- when the children may split further --
+  /// Pops the head, partitions every owned shard's span in place by
+  /// `split` (stable, sub-chunked), and -- when the children may split further --
   /// pushes the smaller then the larger child and marks the smaller as
   /// the pending build. Returns true when children were pushed; otherwise
   /// both children are leaves and their spans are kept for finish_tree.
@@ -127,7 +128,10 @@ class ShardGroup {
     std::uint64_t row_begin = 0;
     std::uint64_t row_end = 0;
     HistogramPool pool;
-    std::vector<std::uint32_t> bufs[2];
+    /// Row ids of the shard: every node's records are a span of `arena`,
+    /// partitioned in place; `scratch` is the kernel's pass-1 scratch.
+    std::vector<std::uint32_t> arena;
+    std::vector<std::uint32_t> scratch;
     Histogram built;                  // per-shard result of build_pending
     std::vector<Histogram> partials;  // sub-chunk scratch (from `pool`)
     std::vector<LeafSpan> leaves;     // current tree's leaves, local spans
@@ -138,7 +142,6 @@ class ShardGroup {
   /// Frontier node: K local arena spans in one SpanPool-like slot.
   struct Node {
     std::uint32_t slot = 0;
-    std::uint8_t buf = 0;
     std::int32_t depth = 0;
     std::uint64_t rows = 0;  // *global* rows (drives the bounds-leaf rule)
     /// Id of the node in the training loop's Tree: Tree::split_leaf adds
@@ -150,7 +153,7 @@ class ShardGroup {
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot);
   /// Records one leaf: its span in every owned shard.
-  void add_leaf(std::int32_t tree_node, std::int32_t depth, std::uint8_t buf,
+  void add_leaf(std::int32_t tree_node, std::int32_t depth,
                 std::uint32_t slot);
   std::uint64_t& span_begin(std::uint32_t slot, std::uint32_t ls) {
     return span_bounds_[static_cast<std::size_t>(slot) * 2 * num_local() +
@@ -205,9 +208,11 @@ class ShardGroup {
   bool pending_valid_ = false;
   bool built_valid_ = false;
 
-  /// Scratch for the two-phase sub-chunked partition: per (shard, chunk)
-  /// left counts with per-shard totals, and per (shard, chunk) loss
-  /// reduction slots for step 5.
+  /// Scratch for the two-pass sub-chunked partition: the split's side
+  /// table, per (shard, chunk) left counts (turned into per-shard
+  /// exclusive prefixes between the passes) with per-shard totals, and per
+  /// (shard, chunk) loss reduction slots for step 5.
+  std::vector<std::uint8_t> sides_;
   std::vector<std::uint64_t> chunk_lefts_;
   std::vector<std::uint64_t> shard_lefts_;
   std::vector<double> chunk_losses_;

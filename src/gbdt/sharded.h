@@ -1,10 +1,10 @@
 // Sharded GBDT training (ROADMAP "Sharded training"): partition the
 // records into K contiguous row shards, give every shard its own histogram
-// pool and ping-pong row arenas, run the per-shard histogram build /
-// partition / step-5 update as (sub-chunked) shard tasks on util::ThreadPool,
-// and merge the per-shard histograms with Histogram::add in fixed shard
-// order before running the (already-threaded) SplitFinder on the merged
-// result.
+// pool, row arena and partition scratch, run the per-shard histogram
+// build / partition / step-5 update as (sub-chunked) shard tasks on
+// util::ThreadPool, and merge the per-shard histograms with Histogram::add
+// in fixed shard order before running the (already-threaded) SplitFinder
+// on the merged result.
 //
 // Since the cross-process PR the engine itself lives in
 // gbdt::DistributedTrainer (distributed.h) with the per-shard half in

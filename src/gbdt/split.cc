@@ -167,7 +167,7 @@ std::optional<SplitInfo> SplitFinder::find_best(
     std::uint64_t* bins_scanned) const {
   const std::uint32_t num_fields = hist.num_fields();
   const BinStats totals = hist.totals();
-  const unsigned chunks =
+  unsigned chunks =
       pool != nullptr ? pool->num_chunks(num_fields, kSplitScanGrain) : 1;
 
   // Field chunks are balanced only when no single field dwarfs a fair
@@ -178,8 +178,10 @@ std::optional<SplitInfo> SplitFinder::find_best(
   // fallback so few-field/huge-field histograms still parallelize). Both
   // paths are serial-identical, so which one runs never changes the
   // result.
+  bool by_bins = false;
+  std::uint64_t total_bins = 0;
   if (pool != nullptr) {
-    const std::uint64_t total_bins = hist.total_bins();
+    total_bins = hist.total_bins();
     std::uint64_t max_field_bins = 0;
     for (std::uint32_t f = 0; f < num_fields; ++f) {
       max_field_bins = std::max<std::uint64_t>(max_field_bins,
@@ -190,24 +192,8 @@ std::optional<SplitInfo> SplitFinder::find_best(
         pool->num_chunks(total_bins, kSplitScanBinGrain);
     const bool dominated = max_field_bins > 2 * total_bins / threads;
     if (dominated && bin_chunks > 1) {
-      std::vector<std::optional<SplitInfo>> chunk_best(bin_chunks);
-      std::vector<std::uint64_t> chunk_scanned(bin_chunks, 0);
-      pool->parallel_for(0, total_bins, kSplitScanBinGrain,
-                         [&](std::uint64_t begin, std::uint64_t end,
-                             unsigned c) {
-                           scan_bin_range(hist, data, totals, begin, end,
-                                          chunk_best[c], chunk_scanned[c]);
-                         });
-      std::optional<SplitInfo> best;
-      std::uint64_t scanned = 0;
-      for (unsigned c = 0; c < bin_chunks; ++c) {
-        scanned += chunk_scanned[c];
-        if (chunk_best[c] && (!best || chunk_best[c]->gain > best->gain)) {
-          best = chunk_best[c];
-        }
-      }
-      if (bins_scanned != nullptr) *bins_scanned = scanned;
-      return best;
+      by_bins = true;
+      chunks = bin_chunks;
     }
   }
 
@@ -219,19 +205,37 @@ std::optional<SplitInfo> SplitFinder::find_best(
     return best;
   }
 
-  std::vector<std::optional<SplitInfo>> chunk_best(chunks);
-  std::vector<std::uint64_t> chunk_scanned(chunks, 0);
-  pool->parallel_for(
-      0, num_fields, kSplitScanGrain,
-      [&](std::uint64_t begin, std::uint64_t end, unsigned c) {
-        scan_fields(hist, data, totals, static_cast<std::uint32_t>(begin),
-                    static_cast<std::uint32_t>(end), chunk_best[c],
-                    chunk_scanned[c]);
-      });
+  // Per-chunk results live in the calling thread's storage, which keeps its
+  // capacity (chunks never exceed the pool's thread count), so warm
+  // threaded scans allocate nothing. The workers reach it through these
+  // references -- naming a thread_local inside the chunk body would give
+  // each worker its own.
+  static thread_local std::vector<std::optional<SplitInfo>> best_storage;
+  static thread_local std::vector<std::uint64_t> scanned_storage;
+  std::vector<std::optional<SplitInfo>>& chunk_best = best_storage;
+  std::vector<std::uint64_t>& chunk_scanned = scanned_storage;
+  chunk_best.assign(chunks, std::nullopt);
+  chunk_scanned.assign(chunks, 0);
+  if (by_bins) {
+    pool->parallel_for(0, total_bins, kSplitScanBinGrain,
+                       [&](std::uint64_t begin, std::uint64_t end,
+                           unsigned c) {
+                         scan_bin_range(hist, data, totals, begin, end,
+                                        chunk_best[c], chunk_scanned[c]);
+                       });
+  } else {
+    pool->parallel_for(
+        0, num_fields, kSplitScanGrain,
+        [&](std::uint64_t begin, std::uint64_t end, unsigned c) {
+          scan_fields(hist, data, totals, static_cast<std::uint32_t>(begin),
+                      static_cast<std::uint32_t>(end), chunk_best[c],
+                      chunk_scanned[c]);
+        });
+  }
 
   // Merge in chunk order with strict > : keeps the earliest maximum, which
-  // is exactly the serial scan's tie-breaking (fields scan in order within
-  // each chunk, and chunks cover the fields in order).
+  // is exactly the serial scan's tie-breaking (fields -- or bins -- scan
+  // in order within each chunk, and chunks cover them in order).
   std::optional<SplitInfo> best;
   std::uint64_t scanned = 0;
   for (unsigned c = 0; c < chunks; ++c) {

@@ -26,18 +26,15 @@ using trace::StepTrace;
 constexpr std::uint64_t kRecordGrain = 2048;
 
 /// Mutable state of one frontier node during tree growth. The node's
-/// records are the span [begin, end) of one of the trainer's two ping-pong
-/// row arenas (`buf` says which) -- no per-node row storage. Partitioning
-/// writes a node's children into the opposite arena, which is safe because
-/// the frontier is processed strictly breadth-first: all nodes of depth d
-/// (whose rows live in arena d mod 2) are consumed before any depth-d+1
-/// node overwrites that arena's parity.
+/// records are the span [begin, end) of the trainer's row arena -- no
+/// per-node row storage. Partitioning a node rewrites only its own span
+/// (its children are the two halves), and frontier spans are disjoint, so
+/// nodes may be split in any order.
 struct FrontierNode {
   std::int32_t tree_node = 0;
   std::int32_t depth = 0;
   std::uint64_t begin = 0;
   std::uint64_t end = 0;
-  std::uint8_t buf = 0;
   Histogram hist;
   BinStats totals;
 
@@ -64,11 +61,12 @@ TrainResult Trainer::train(const BinnedDataset& data, StepTrace* trace,
 
   // One pool + one histogram pool + one row arena for the whole run; the
   // per-tree loop below performs no allocations once these and the
-  // per-tree scratch vectors are warm.
+  // per-tree scratch vectors are warm. Every node's records are a span of
+  // `rows`; `row_scratch` is the partition kernel's pass-1 scratch.
   util::ThreadPool pool(cfg_.num_threads);
   HistogramPool hist_pool(data);
-  std::vector<std::uint32_t> row_bufs[2] = {std::vector<std::uint32_t>(n),
-                                            std::vector<std::uint32_t>(n)};
+  std::vector<std::uint32_t> rows(n);
+  std::vector<std::uint32_t> row_scratch(n);
   std::vector<std::uint64_t> chunk_counts(pool.num_threads() + 1, 0);
   std::vector<double> chunk_sums(pool.num_threads(), 0.0);
   std::vector<Histogram> partials_scratch;
@@ -171,7 +169,7 @@ TrainResult Trainer::train(const BinnedDataset& data, StepTrace* trace,
     level_hist_nodes.clear();
     leaves.clear();
 
-    // Reset arena 0 to ascending row order: the partition is stable, so
+    // Reset the arena to ascending row order: the partition is stable, so
     // every node span stays ascending all the way down -- histogram
     // gathers then stream the row-major matrix forward (the cache behavior
     // the seed got from its freshly-copied sorted row vectors) instead of
@@ -179,7 +177,7 @@ TrainResult Trainer::train(const BinnedDataset& data, StepTrace* trace,
     pool.for_chunks(0, n, kRecordGrain,
                       [&](std::uint64_t b, std::uint64_t e, unsigned) {
                         for (std::uint64_t r = b; r < e; ++r) {
-                          row_bufs[0][r] = static_cast<std::uint32_t>(r);
+                          rows[r] = static_cast<std::uint32_t>(r);
                         }
                       });
 
@@ -190,9 +188,8 @@ TrainResult Trainer::train(const BinnedDataset& data, StepTrace* trace,
       root.depth = 0;
       root.begin = 0;
       root.end = n;
-      root.buf = 0;
       root.hist = hist_pool.acquire();
-      build_histogram_parallel(root.hist, data, row_bufs[0], gradients, pool,
+      build_histogram_parallel(root.hist, data, rows, gradients, pool,
                                hist_pool, partials_scratch);
       root.totals = root.hist.totals();
       emit(trace, StepEvent{.kind = StepKind::kHistogram,
@@ -204,11 +201,11 @@ TrainResult Trainer::train(const BinnedDataset& data, StepTrace* trace,
       frontier.push_back(std::move(root));
     }
 
-    // Weights leaf `id`, whose records are arena `buf`'s [begin, end), and
+    // Weights leaf `id`, whose records are the arena's [begin, end), and
     // keeps that span for step 5.
     auto add_leaf = [&](std::int32_t id, const BinStats& totals,
                         std::int32_t depth, std::uint64_t begin,
-                        std::uint64_t end, std::uint8_t buf) {
+                        std::uint64_t end) {
       const double w =
           cfg_.learning_rate * leaf_weight(totals, cfg_.split.lambda);
       tree.set_leaf_weight(id, w);
@@ -216,8 +213,7 @@ TrainResult Trainer::train(const BinnedDataset& data, StepTrace* trace,
                                 .end = end,
                                 .delta = static_cast<float>(w),
                                 .tree_node = id,
-                                .depth = depth,
-                                .buf = buf});
+                                .depth = depth});
       leaf_depth_sum += depth;
       ++leaf_count;
     };
@@ -226,8 +222,7 @@ TrainResult Trainer::train(const BinnedDataset& data, StepTrace* trace,
       FrontierNode node = std::move(frontier[head++]);
 
       auto make_leaf = [&](const BinStats& totals) {
-        add_leaf(node.tree_node, totals, node.depth, node.begin, node.end,
-                 node.buf);
+        add_leaf(node.tree_node, totals, node.depth, node.begin, node.end);
         hist_pool.release(std::move(node.hist));
       };
 
@@ -249,18 +244,17 @@ TrainResult Trainer::train(const BinnedDataset& data, StepTrace* trace,
         continue;
       }
 
-      // Step 3: apply the predicate to partition the node's arena span into
-      // the opposite ping-pong arena (stable: identical row order to the
-      // scalar two-vector reference at any thread count).
+      // Step 3: apply the predicate to partition the node's arena span in
+      // place (stable: identical row order to the scalar two-vector
+      // reference at any thread count).
       // The split's left-bucket histogram count is the exact left-row
       // count (counts are exact integers in a double); partition_to aborts
       // if the realized partition disagrees.
       const std::uint64_t n_left = split->left.count_u64();
       BOOSTER_CHECK_MSG(n_left > 0 && n_left < node.num_rows(),
                         "split produced an empty child");
-      const std::uint8_t child_buf = node.buf ^ 1;
-      partition_to(row_bufs[node.buf], row_bufs[child_buf], node.begin,
-                   node.end, n_left, data, *split, pool, chunk_counts);
+      partition_to(rows, rows, node.begin, node.end, n_left, data, *split,
+                   pool, chunk_counts, row_scratch);
       emit(trace, StepEvent{.kind = StepKind::kPartition,
                             .tree = static_cast<std::int32_t>(t),
                             .depth = node.depth,
@@ -279,10 +273,8 @@ TrainResult Trainer::train(const BinnedDataset& data, StepTrace* trace,
       if (!children_may_split) {
         // Children are leaves; their totals come from the split evaluation,
         // no further binning needed.
-        add_leaf(left_id, split->left, child_depth, node.begin, mid,
-                 child_buf);
-        add_leaf(right_id, split->right, child_depth, mid, node.end,
-                 child_buf);
+        add_leaf(left_id, split->left, child_depth, node.begin, mid);
+        add_leaf(right_id, split->right, child_depth, mid, node.end);
         hist_pool.release(std::move(node.hist));
         continue;
       }
@@ -296,7 +288,6 @@ TrainResult Trainer::train(const BinnedDataset& data, StepTrace* trace,
       small.tree_node = left_smaller ? left_id : right_id;
       large.tree_node = left_smaller ? right_id : left_id;
       small.depth = large.depth = child_depth;
-      small.buf = large.buf = child_buf;
       small.begin = left_smaller ? node.begin : mid;
       small.end = left_smaller ? mid : node.end;
       large.begin = left_smaller ? mid : node.begin;
@@ -305,8 +296,7 @@ TrainResult Trainer::train(const BinnedDataset& data, StepTrace* trace,
       small.hist = hist_pool.acquire();
       build_histogram_parallel(
           small.hist, data,
-          std::span<const std::uint32_t>(row_bufs[child_buf].data() +
-                                             small.begin,
+          std::span<const std::uint32_t>(rows.data() + small.begin,
                                          small.num_rows()),
           gradients, pool, hist_pool, partials_scratch);
       small.totals = small.hist.totals();
@@ -363,7 +353,7 @@ TrainResult Trainer::train(const BinnedDataset& data, StepTrace* trace,
     const std::uint64_t hops = order_leaf_spans(leaves, n);
     pool.for_chunks(0, n, kRecordGrain,
                     [&](std::uint64_t b, std::uint64_t e, unsigned) {
-                      scatter_leaf_deltas(leaves, row_bufs, b, e, 0, deltas);
+                      scatter_leaf_deltas(leaves, rows, b, e, 0, deltas);
                     });
     std::fill(chunk_sums.begin(), chunk_sums.end(), 0.0);
     pool.for_chunks(
@@ -434,7 +424,7 @@ TrainResult Trainer::train(const BinnedDataset& data, StepTrace* trace,
   result.hot_path.histogram_allocations = hist_pool.allocations();
   result.hot_path.histogram_acquires = hist_pool.acquires();
   result.hot_path.arena_bytes =
-      (row_bufs[0].size() + row_bufs[1].size()) * sizeof(std::uint32_t) +
+      (rows.size() + row_scratch.size()) * sizeof(std::uint32_t) +
       deltas.size() * sizeof(float);
   result.hot_path.row_major_matrix_bytes =
       RecordLayout::software_row_major_bytes(n, num_fields, sizeof(BinIndex));

@@ -76,9 +76,10 @@ struct TreeStats {
 };
 
 /// Per-shard slice of the hot-path diagnostics (sharded training only).
-/// Each shard owns its row range, histogram pool, and ping-pong arenas, so
-/// the steady-state allocation-free property holds *per shard*: every
-/// shard's histogram_allocations goes flat once its pool is warm.
+/// Each shard owns its row range, histogram pool, row arena and partition
+/// scratch, so the steady-state allocation-free property holds *per
+/// shard*: every shard's histogram_allocations goes flat once its pool is
+/// warm.
 struct ShardHotPathStats {
   std::uint64_t rows = 0;  // records owned by this shard
   std::uint64_t histogram_allocations = 0;
@@ -119,8 +120,8 @@ struct HotPathStats {
   /// Intra-shard chunk-partial merges from sub-chunking (threads >
   /// shards); local reductions that never cross a transport.
   std::uint64_t chunk_merges = 0;
-  /// Bytes of the persistent ping-pong row-index arenas plus the step-5
-  /// per-record leaf-delta scratch (all shards).
+  /// Bytes of the persistent row-index arena and partition scratch plus
+  /// the step-5 per-record leaf-delta scratch (all shards).
   std::uint64_t arena_bytes = 0;
   /// Bytes of the dataset's redundant row-major bin matrix -- the memory
   /// the layout change trades for the single-pass histogram kernel.

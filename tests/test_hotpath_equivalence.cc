@@ -4,12 +4,16 @@
 // exactly, G/H sums within FP-reduction tolerance, and whole trained
 // models with identical structure/split decisions at 1, 2, and 8 threads.
 // Also asserts the steady-state allocation-free property: histogram pool
-// misses stop growing with more trees, and partitioning uses one arena.
+// misses stop growing with more trees, and partitioning uses one arena
+// plus one scratch of the same size. ArenaPartition* cover the partition
+// kernel itself: in place and out of place, edge span lengths and splits,
+// and the abort on a wrong left count.
 // LeafSpanStep5 checks step 5 -- resolved from the partition's leaf spans
 // rather than a tree traversal -- against an independent per-record
 // Tree::predict reference.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 #include <tuple>
@@ -171,6 +175,157 @@ TEST(HotPathEquivalence, ArenaPartitionMatchesScalarReferenceExactly) {
           ASSERT_EQ(dst[i], 0xFFFFFFFFu);
         }
       }
+    }
+  }
+}
+
+// Splits for the in-place partition test: every field at a middle
+// threshold with both default directions, plus an all-left and an
+// all-right split (a numeric field at its last bin with missing routed
+// left, and at bin 0 with missing routed right).
+std::vector<SplitInfo> partition_test_splits(const BinnedDataset& data) {
+  std::vector<SplitInfo> splits;
+  for (std::uint32_t f = 0; f < data.num_fields(); ++f) {
+    SplitInfo s;
+    s.field = f;
+    const bool numeric = data.field_bins(f).kind == FieldKind::kNumeric;
+    s.kind =
+        numeric ? PredicateKind::kNumericLE : PredicateKind::kCategoryEqual;
+    s.threshold_bin =
+        static_cast<std::uint16_t>(data.field_bins(f).num_bins / 2);
+    if (s.threshold_bin == 0) s.threshold_bin = 1;
+    for (const bool default_left : {false, true}) {
+      s.default_left = default_left;
+      splits.push_back(s);
+    }
+  }
+  SplitInfo all_left;
+  all_left.field = 0;
+  all_left.kind = PredicateKind::kNumericLE;
+  all_left.threshold_bin =
+      static_cast<std::uint16_t>(data.field_bins(0).num_bins - 1);
+  all_left.default_left = true;
+  splits.push_back(all_left);
+  SplitInfo all_right = all_left;
+  all_right.threshold_bin = 0;
+  all_right.default_left = false;
+  splits.push_back(all_right);
+  return splits;
+}
+
+TEST(HotPathEquivalence, ArenaPartitionInPlaceMatchesScalarReferenceExactly) {
+  const auto data = random_binned(40000, 13);
+  ASSERT_EQ(data.field_bins(0).kind, FieldKind::kNumeric);
+  const std::uint64_t n = data.num_records();
+  std::vector<std::uint32_t> initial(n);
+  std::iota(initial.begin(), initial.end(), 0u);
+  util::Rng rng(14);
+  for (std::size_t i = n; i > 1; --i) {
+    std::swap(initial[i - 1], initial[rng.next_below(i)]);
+  }
+  constexpr std::uint32_t kUnset = 0xFFFFFFFFu;
+  const std::uint64_t g = kPartitionGrain;
+  const std::vector<SplitInfo> splits = partition_test_splits(data);
+  bool saw_all_left = false;
+  bool saw_all_right = false;
+
+  // Span lengths below, at and just above the grain, and multi-chunk
+  // lengths that do not divide evenly into chunks.
+  const std::uint64_t counts[] = {1,         g - 1,     g,         g + 1,
+                                  2 * g,     2 * g + 1, 3 * g + 7, 9 * g + 5};
+  for (const unsigned threads : {1u, 2u, 3u, 8u}) {
+    util::ThreadPool pool(threads);
+    std::vector<std::uint64_t> chunk_counts(pool.num_threads() + 1);
+    for (const std::uint64_t count : counts) {
+      const std::uint64_t begin = (n - count) / 3;
+      const std::uint64_t end = begin + count;
+      for (const auto& split : splits) {
+        const auto& col = data.column(split.field);
+        std::vector<std::uint32_t> expect_left, expect_right;
+        for (std::uint64_t i = begin; i < end; ++i) {
+          const std::uint32_t r = initial[i];
+          (split_goes_left(split, col[r]) ? expect_left : expect_right)
+              .push_back(r);
+        }
+        saw_all_left |= count > 2 * g && expect_right.empty();
+        saw_all_right |= count > 2 * g && expect_left.empty();
+        const std::uint64_t n_left = expect_left.size();
+
+        // In place with the caller's scratch (the trainers' form) and out
+        // of place with the kernel's own per-call scratch.
+        for (const bool in_place : {true, false}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "count " << count << " field " << split.field
+                       << " threshold " << split.threshold_bin
+                       << " default_left " << split.default_left
+                       << " threads " << threads << " in_place "
+                       << in_place);
+          std::vector<std::uint32_t> arena = initial;
+          std::vector<std::uint32_t> dst(n, kUnset);
+          std::vector<std::uint32_t> scratch(n, kUnset);
+          if (in_place) {
+            partition_to(arena, arena, begin, end, n_left, data, split, pool,
+                         chunk_counts, scratch);
+          } else {
+            partition_to(arena, dst, begin, end, n_left, data, split, pool,
+                         chunk_counts);
+          }
+          const std::vector<std::uint32_t>& out = in_place ? arena : dst;
+          ASSERT_TRUE(std::equal(expect_left.begin(), expect_left.end(),
+                                 out.begin() + begin));
+          ASSERT_TRUE(std::equal(expect_right.begin(), expect_right.end(),
+                                 out.begin() + begin + n_left));
+          // Rows outside [begin, end) are untouched in the destination,
+          // and the scratch is written only inside [begin, end).
+          const std::vector<std::uint32_t> untouched =
+              in_place ? initial : std::vector<std::uint32_t>(n, kUnset);
+          ASSERT_TRUE(std::equal(out.begin(), out.begin() + begin,
+                                 untouched.begin()));
+          ASSERT_TRUE(std::equal(out.begin() + end, out.end(),
+                                 untouched.begin() + end));
+          const auto unset = [](std::uint32_t v) { return v == kUnset; };
+          ASSERT_TRUE(
+              std::all_of(scratch.begin(), scratch.begin() + begin, unset));
+          ASSERT_TRUE(std::all_of(scratch.begin() + end, scratch.end(), unset));
+          if (!in_place) {
+            ASSERT_EQ(arena, initial);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(saw_all_left);
+  EXPECT_TRUE(saw_all_right);
+}
+
+TEST(ArenaPartitionDeathTest, WrongLeftCountAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const auto data = random_binned(8 * kPartitionGrain, 15);
+  const std::uint64_t n = data.num_records();
+  SplitInfo split;
+  split.field = 0;
+  split.kind = PredicateKind::kNumericLE;
+  split.threshold_bin =
+      static_cast<std::uint16_t>(data.field_bins(0).num_bins / 2);
+  const auto& col = data.column(0);
+  std::uint64_t n_left = 0;
+  for (std::uint64_t r = 0; r < n; ++r) n_left += split_goes_left(split, col[r]);
+  ASSERT_GT(n_left, 0u);
+  ASSERT_LT(n_left, n);
+
+  // One thread takes the serial path; four threads split the span into
+  // four chunks. An n_left off by one either way must abort on both.
+  for (const unsigned threads : {1u, 4u}) {
+    util::ThreadPool pool(threads);
+    ASSERT_EQ(pool.num_chunks(n, kPartitionGrain), threads);
+    for (const std::uint64_t wrong : {n_left - 1, n_left + 1}) {
+      std::vector<std::uint32_t> arena(n);
+      std::iota(arena.begin(), arena.end(), 0u);
+      std::vector<std::uint32_t> scratch(n);
+      std::vector<std::uint64_t> chunk_counts(pool.num_threads() + 1);
+      EXPECT_DEATH(partition_to(arena, arena, 0, n, wrong, data, split, pool,
+                                chunk_counts, scratch),
+                   "partition disagrees with the split's bucket counts");
     }
   }
 }

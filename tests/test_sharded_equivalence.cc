@@ -239,8 +239,8 @@ TEST(ShardedEquivalence, SteadyStateIsAllocationFreePerShard) {
       EXPECT_EQ(long_run.hot_path.per_shard[s].histogram_allocations,
                 short_run.hot_path.per_shard[s].histogram_allocations)
           << "shard " << s;
-      // Two ping-pong arenas per shard, uint32 row ids, plus the step-5
-      // float leaf delta per row, shard-sized.
+      // A row arena and a partition scratch per shard, uint32 row ids,
+      // plus the step-5 float leaf delta per row, shard-sized.
       EXPECT_EQ(long_run.hot_path.per_shard[s].arena_bytes,
                 2 * long_run.hot_path.per_shard[s].rows *
                         sizeof(std::uint32_t) +
