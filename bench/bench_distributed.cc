@@ -1,8 +1,8 @@
-// Distributed-training bench (ISSUE 5): times gbdt::DistributedTrainer
-// across the transport matrix (loopback / file / socket / tcp x world
-// sizes) against the in-process gbdt::Trainer on a fraud-shaped workload,
-// and cross-checks the subsystem's core contract on every leg -- *bit-
-// identical* models, losses, and predictions, whatever the transport. The
+// Distributed-training bench: times gbdt::DistributedTrainer across the
+// transport matrix (loopback / tcp x world sizes) against the in-process
+// gbdt::Trainer on a fraud-shaped workload, and cross-checks the
+// subsystem's core contract on every leg -- *bit-identical* models,
+// losses, and predictions, whatever the transport. The
 // wire traffic (messages, bytes, retransmits) and a codec microbench
 // (serialize/deserialize cost per shard histogram) quantify what
 // cross-process sharding pays over the in-process merge that
@@ -143,8 +143,6 @@ int main(int argc, char** argv) {
               args.shards, args.threads, reference_s);
 
   const ipc::TransportKind kinds[] = {ipc::TransportKind::kLoopback,
-                                      ipc::TransportKind::kFile,
-                                      ipc::TransportKind::kSocket,
                                       ipc::TransportKind::kTcp};
   const std::uint32_t procs_list[] = {1, 2, 4};
   bool first = true;

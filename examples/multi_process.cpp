@@ -1,28 +1,30 @@
 // Cross-process sharded training, for real: forks worker *processes* and
-// trains one ensemble over a pluggable histogram transport, then proves
-// the result bit-identical to the in-process gbdt::Trainer. This is the
-// end-to-end demonstration of the distributed stack -- every shard
-// histogram, split decision, and finished tree crosses a real process
-// boundary (spool files or an AF_UNIX socket) through the checksummed
-// wire format and the retry protocol.
+// trains one ensemble over localhost TCP, then proves the result
+// bit-identical to the in-process gbdt::Trainer. This is the end-to-end
+// demonstration of the distributed stack -- every catch-up, shard
+// assignment, shard histogram, split decision, and finished tree crosses a
+// real process boundary through the checksummed wire format and the retry
+// protocol.
 //
-//   ./build/multi_process [--transport file|socket|loopback|tcp]
+//   ./build/multi_process [--transport tcp|loopback]
 //                         [--procs N] [--shards K] [--threads T]
 //                         [--records N] [--trees N] [--kill-rejoin]
 //                         [--die-rank R] [--die-tree T] [--rejoin-tree T]
 //
 // Every process synthesizes the same deterministic dataset (data-parallel
-// with replicated inputs; rank r executes only its shard range), trains
-// through gbdt::DistributedTrainer, and independently verifies its copy of
-// the model against a local single-process reference -- so a divergence
-// *anywhere* in the world makes the example exit non-zero, which is what
-// scripts/check.sh keys off. --transport loopback runs the ranks as
-// threads instead (same protocol, no fork), which is the variant the
-// sanitizer CI leg executes.
+// with replicated inputs; a rank executes only its assigned shard range),
+// trains through gbdt::DistributedTrainer, and independently verifies its
+// copy of the model against a local single-process reference -- so a
+// divergence *anywhere* in the world makes the example exit non-zero,
+// which is what scripts/check.sh keys off. --transport loopback runs the
+// ranks as threads instead (same protocol, no fork), which is the variant
+// the sanitizer CI leg executes.
 //
-// --transport tcp runs the *elastic* world over real localhost TCP: rank 0
-// listens on an ephemeral port and recomputes the shard assignment at tree
-// boundaries from live membership. With --kill-rejoin, worker --die-rank
+// --transport tcp (the default) forks the workers as real processes around
+// a rank 0 listening on an ephemeral localhost port. A plain run is a
+// fixed world: rank 0 admits every worker at the first tree boundary.
+// --kill-rejoin switches to the live membership rule, under which rank 0
+// recomputes the shard assignment at every boundary: worker --die-rank
 // SIGKILLs itself mid-tree at --die-tree (rank 0 adopts its shards), and a
 // fresh incarnation of the same rank connects at --rejoin-tree (admitted
 // with a catch-up replay) -- the survivors, the rejoiner, and rank 0 all
@@ -36,14 +38,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <string>
+#include <vector>
 
 #include "gbdt/binning.h"
 #include "gbdt/distributed.h"
 #include "gbdt/trainer.h"
-#include "ipc/file_transport.h"
-#include "ipc/socket_transport.h"
 #include "ipc/tcp_transport.h"
 #include "ipc/world.h"
 #include "workloads/spec.h"
@@ -54,7 +54,7 @@ namespace {
 using namespace booster;
 
 struct Args {
-  ipc::TransportKind transport = ipc::TransportKind::kFile;
+  ipc::TransportKind transport = ipc::TransportKind::kTcp;
   std::uint32_t procs = 3;
   std::uint32_t shards = 8;
   unsigned threads = 2;
@@ -78,8 +78,7 @@ Args parse(int argc, char** argv) {
     if (std::strcmp(argv[i], "--transport") == 0) {
       const auto kind = ipc::transport_kind_from_name(next());
       if (!kind) {
-        std::fprintf(stderr,
-                     "unknown transport (loopback|file|socket|tcp)\n");
+        std::fprintf(stderr, "unknown transport (tcp|loopback)\n");
         std::exit(2);
       }
       a.transport = *kind;
@@ -180,54 +179,13 @@ gbdt::DistributedConfig make_config(const Args& args) {
   return cfg;
 }
 
-/// One rank's whole life: build data, assemble the transport, train,
-/// verify. Returns the process exit code.
-int run_rank(const Args& args, const std::string& path, std::uint32_t rank) {
-  const auto data = make_data(args);
-  const auto ref = gbdt::Trainer(make_config(args).trainer).train(data);
-
-  std::unique_ptr<ipc::Transport> transport;
-  if (args.procs > 1) {
-    if (args.transport == ipc::TransportKind::kFile) {
-      transport = std::make_unique<ipc::FileTransport>(path, args.procs, rank);
-    } else if (rank == 0) {
-      transport = ipc::SocketTransport::serve(path, args.procs);
-    } else {
-      transport = ipc::SocketTransport::connect(path, args.procs, rank);
-    }
-    if (transport == nullptr) {
-      std::fprintf(stderr, "[rank %u] transport failed to assemble\n", rank);
-      return 1;
-    }
-  }
-
-  gbdt::DistributedTrainer trainer(make_config(args), transport.get());
-  const auto got = trainer.train(data);
-  if (!verify(got, ref, data, rank)) return 1;
-
-  if (rank == 0) {
-    const auto& st = trainer.stats();
-    std::printf(
-        "multi_process OK: transport=%s procs=%u shards=%u threads=%u "
-        "records=%llu trees=%u\n"
-        "  rank0: shards_local=%u adopted=%u dead_workers=%u "
-        "msgs_rx=%llu retransmits=%llu bytes_rx=%llu\n"
-        "  bit-identical to in-process Trainer on every rank\n",
-        ipc::transport_kind_name(args.transport), args.procs, args.shards,
-        args.threads, static_cast<unsigned long long>(args.records),
-        args.trees, st.shards_local, st.shards_adopted, st.dead_workers,
-        static_cast<unsigned long long>(st.channel.messages_received),
-        static_cast<unsigned long long>(st.channel.retransmits),
-        static_cast<unsigned long long>(st.transport.bytes_received));
-  }
-  return 0;
-}
-
-/// Elastic timing: production defaults are 10s windows; the demo tightens
-/// them so detection and reconnects land in fractions of a second.
-gbdt::DistributedConfig make_elastic_config(const Args& args) {
+/// TCP timing: production defaults are 10s windows; the demo tightens
+/// them so detection and reconnects land in fractions of a second. Only
+/// the churn demo needs the live membership rule (its rejoiner is
+/// admitted late).
+gbdt::DistributedConfig make_tcp_config(const Args& args) {
   gbdt::DistributedConfig cfg = make_config(args);
-  cfg.elastic = true;
+  cfg.elastic = args.kill_rejoin;
   cfg.channel.recv_timeout = std::chrono::milliseconds(25);
   cfg.channel.liveness_timeout = std::chrono::milliseconds(500);
   cfg.channel.heartbeat_interval = std::chrono::milliseconds(50);
@@ -245,7 +203,7 @@ ipc::TcpOptions make_tcp_options() {
 
 /// One TCP worker process: optionally parks on `wait_fd` until rank 0
 /// signals the rejoin boundary, then connects with a fresh session nonce
-/// and follows the elastic assignment stream. `dies` arms the SIGKILL
+/// and follows the assignment stream. `dies` arms the SIGKILL
 /// churn hook (mid-tree, after the root histograms shipped).
 int run_tcp_worker(const Args& args, std::uint16_t port, std::uint32_t rank,
                    int wait_fd, bool dies) {
@@ -260,7 +218,7 @@ int run_tcp_worker(const Args& args, std::uint16_t port, std::uint32_t rank,
     ::close(wait_fd);
   }
 
-  gbdt::DistributedConfig cfg = make_elastic_config(args);
+  gbdt::DistributedConfig cfg = make_tcp_config(args);
   if (dies) {
     cfg.churn_hook = [&args](std::uint32_t tree,
                              gbdt::ElasticChurnPoint point) {
@@ -286,7 +244,7 @@ int run_tcp_worker(const Args& args, std::uint16_t port, std::uint32_t rank,
   return verify(got, ref, data, rank) ? 0 : 1;
 }
 
-/// The elastic localhost-TCP world: rank 0 listens, forks the workers
+/// The localhost-TCP world: rank 0 listens, forks the workers
 /// (plus a parked rejoin incarnation when --kill-rejoin), trains, and
 /// reaps. The rejoiner is forked *before* training so no fork happens
 /// while rank 0's thread pool exists; it parks on a pipe until rank 0's
@@ -351,7 +309,7 @@ int run_tcp(const Args& args) {
     return 1;
   }
 
-  gbdt::DistributedConfig cfg = make_elastic_config(args);
+  gbdt::DistributedConfig cfg = make_tcp_config(args);
   bool released = false;
   cfg.on_tree_boundary = [&](std::uint32_t tree) {
     if (!args.kill_rejoin || tree != args.rejoin_tree || released) return;
@@ -428,46 +386,14 @@ int main(int argc, char** argv) {
     return run_tcp(args);
   }
 
-  if (args.transport == ipc::TransportKind::kLoopback || args.procs == 1) {
-    // Threads-as-ranks (the sanitizer leg): same protocol, no fork.
-    const auto data = make_data(args);
-    const auto ref = gbdt::Trainer(make_config(args).trainer).train(data);
-    ipc::InProcessWorld world(ipc::TransportKind::kLoopback, args.procs);
-    const auto got = gbdt::train_in_process(make_config(args), world, data);
-    if (!verify(got, ref, data, 0)) return 1;
-    std::printf("multi_process OK: transport=loopback(threads) procs=%u "
-                "shards=%u -- bit-identical to in-process Trainer\n",
-                args.procs, args.shards);
-    return 0;
-  }
-
-  const std::string path = ipc::unique_ipc_path(
-      args.transport == ipc::TransportKind::kFile ? "mp-spool" : "mp-sock");
-
-  // Fork the worker ranks *before* any thread exists in this process.
-  std::vector<pid_t> children;
-  for (std::uint32_t rank = 1; rank < args.procs; ++rank) {
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-      std::perror("fork");
-      return 1;
-    }
-    if (pid == 0) {
-      std::exit(run_rank(args, path, rank));
-    }
-    children.push_back(pid);
-  }
-
-  int status = run_rank(args, path, /*rank=*/0);
-  for (const pid_t pid : children) {
-    int child_status = 0;
-    if (::waitpid(pid, &child_status, 0) < 0 ||
-        !WIFEXITED(child_status) || WEXITSTATUS(child_status) != 0) {
-      std::fprintf(stderr, "worker process %d failed\n", pid);
-      status = 1;
-    }
-  }
-  std::error_code ec;  // scratch cleanup is best effort
-  std::filesystem::remove_all(path, ec);
-  return status;
+  // Threads-as-ranks (the sanitizer leg): same protocol, no fork.
+  const auto data = make_data(args);
+  const auto ref = gbdt::Trainer(make_config(args).trainer).train(data);
+  ipc::InProcessWorld world(ipc::TransportKind::kLoopback, args.procs);
+  const auto got = gbdt::train_in_process(make_config(args), world, data);
+  if (!verify(got, ref, data, 0)) return 1;
+  std::printf("multi_process OK: transport=loopback(threads) procs=%u "
+              "shards=%u -- bit-identical to in-process Trainer\n",
+              args.procs, args.shards);
+  return 0;
 }

@@ -43,7 +43,10 @@ BOOSTER_SIMD=scalar ctest --test-dir "$BUILD_DIR" --output-on-failure \
 # sanitizers too -- exactly where a cross-shard race, arena overrun, or
 # codec out-of-bounds read would surface. The multi_process example runs
 # its loopback (threads-as-ranks) variant here so the full rank-0 driver
-# + worker protocol executes under the sanitizers in one process.
+# + worker protocol executes under the sanitizers in one process, and its
+# tcp variant so the same protocol -- catch-up admission, assignments,
+# the goodbye barrier -- also runs over real sockets between forked
+# processes under the sanitizers.
 if [[ "${BOOSTER_SKIP_SANITIZE:-0}" != "1" ]]; then
   ASAN_DIR="${BUILD_DIR}-asan"
   cmake -B "$ASAN_DIR" -S . \
@@ -52,6 +55,8 @@ if [[ "${BOOSTER_SKIP_SANITIZE:-0}" != "1" ]]; then
   cmake --build "$ASAN_DIR" -j "$(nproc)"
   ctest --test-dir "$ASAN_DIR" --output-on-failure -j "$(nproc)"
   "$ASAN_DIR/multi_process" --transport loopback --procs 3 --shards 8 \
+    --records 6000 --trees 3
+  "$ASAN_DIR/multi_process" --transport tcp --procs 3 --shards 8 \
     --records 6000 --trees 3
 
   # Serve smoke under the sanitizers: the demo covers the whole
@@ -131,22 +136,16 @@ done
 # sharded engine (runner.shards) before the perf sweep.
 "$BUILD_DIR/booster_scenarios" run-builtin dse_shard_sweep --quick > /dev/null
 
-# Cross-process leg (ISSUE 5 acceptance): the multi_process example forks
-# real worker processes over the file and socket transports and exits
-# non-zero if any rank's model diverges by a bit from the in-process
-# trainer.
-"$BUILD_DIR/multi_process" --transport file --procs 3 --shards 8 \
-  --records 8000 --trees 4
-"$BUILD_DIR/multi_process" --transport socket --procs 4 --shards 3 \
-  --records 8000 --trees 4
-
-# Elastic TCP leg (ISSUE 6 acceptance): real worker processes over
-# localhost TCP -- first a static world, then the churn flow: one worker
-# SIGKILLs itself mid-tree (rank 0 adopts its shards) and a fresh
-# incarnation of the same rank rejoins two boundaries later with a
-# catch-up replay. Both runs exit non-zero unless every surviving rank's
-# model is bit-identical to the in-process trainer.
+# Cross-process TCP leg: real worker processes over localhost TCP. First
+# two fixed worlds (more shards than ranks, then more ranks than shards),
+# then the churn flow under the live membership rule: one worker SIGKILLs
+# itself mid-tree (rank 0 adopts its shards) and a fresh incarnation of
+# the same rank rejoins two boundaries later with a catch-up replay. Every
+# run exits non-zero unless every surviving rank's model is bit-identical
+# to the in-process trainer.
 "$BUILD_DIR/multi_process" --transport tcp --procs 3 --shards 8 \
+  --records 8000 --trees 4
+"$BUILD_DIR/multi_process" --transport tcp --procs 4 --shards 3 \
   --records 8000 --trees 4
 "$BUILD_DIR/multi_process" --transport tcp --procs 3 --shards 8 \
   --records 8000 --trees 6 --kill-rejoin --die-rank 2 --die-tree 1 \

@@ -1,43 +1,56 @@
 // Cross-process sharded GBDT training over a pluggable histogram
-// transport (ROADMAP cross-process follow-on). The world is a star of
-// `world_size` ranks around rank 0:
+// transport. The world is a star of `world_size` ranks around rank 0, and
+// every world -- one rank or many, loopback or TCP, fixed or live
+// membership -- runs the same per-tree protocol (the paper's Table I
+// schedule with the shard merge in the middle):
 //
-//   * every rank holds the same BinnedDataset and the same config, and
-//     owns a contiguous range of the global shard partition (a
-//     gbdt::ShardGroup);
-//   * workers build per-shard node histograms and ship them to rank 0
-//     over ipc::ReliableChannel (versioned, checksummed, sequence-numbered
-//     frames -- ipc::HistogramCodec);
+//   * every rank holds the same BinnedDataset and the same config;
+//   * at each tree boundary rank 0 tells every participating worker its
+//     contiguous range of the global shard partition (a gbdt::ShardGroup)
+//     for the next tree;
+//   * workers build per-shard node histograms (step 1) and ship them to
+//     rank 0 over ipc::ReliableChannel (versioned, checksummed,
+//     sequence-numbered frames -- ipc::HistogramCodec);
 //   * rank 0 merges shard histograms with Histogram::add in fixed global
-//     shard order, runs the (threaded, serial-identical) split scan, and
-//     broadcasts each split decision; every rank applies the decision to
-//     its own shards. Finished trees and per-tree verdicts broadcast the
-//     same way, so every rank returns the same model;
-//   * faults are survived by the channel's retry protocol (per-message
-//     checksum + sequence numbers + bounded re-request); a worker that
-//     stays unresponsive through the attempt budget is declared dead and
-//     rank 0 re-executes its shards locally (catch-up replay of finished
-//     trees plus the current tree's decision log -- pure recomputation,
-//     so the result is unchanged).
+//     shard order, runs the (threaded, serial-identical) split scan (step
+//     2), and broadcasts each split decision; every rank partitions its
+//     own shards (step 3). Finished trees, step-5 summaries and per-tree
+//     verdicts travel the same way, so every rank returns the same model.
+//
+// Membership. Rank 0 admits a worker by sending it a catch-up: every
+// finished tree with its training loss, warm-start (init_model) trees
+// first. The worker replays the prefix into its shard group and follows
+// the assignment stream from there. DistributedConfig.elastic picks the
+// admission rule:
+//   * fixed (elastic = false): every rank 1..world_size-1 is admitted at
+//     the first boundary, after rank 0 waited (bounded by the liveness
+//     deadline) for each to connect, and never re-evaluated;
+//   * live (elastic = true, TcpTransport on rank 0): the assignment is
+//     recomputed at every boundary from the transport's membership view;
+//     late joiners and rejoining incarnations (a new session nonce on the
+//     same rank) enter through the same catch-up.
+// Under either rule a worker that stays unresponsive through the channel's
+// liveness deadline mid-tree is declared dead: rank 0 re-executes its
+// shards locally (catch-up replay plus the current tree's decision log --
+// pure recomputation) and evicts it at the next boundary; until it
+// disconnects it may still follow the stream with an empty range.
+//
+// Orphans. A worker that loses its coordinator -- no catch-up, assignment,
+// decision, tree or verdict within its liveness deadline -- returns with
+// whatever model prefix it has and DistributedStats.orphaned = 1. It never
+// aborts for that reason.
+//
+// A nullptr transport is the single-rank world: the same driver with no
+// channel and no workers -- exactly ShardedTrainer's engine.
 //
 // Because the shard merge is quantized-exact and the per-shard partition
-// is stable (PR 4), the trained model -- structure, weights, gains,
-// per-tree losses, predictions, and rank-0's StepTrace -- is bit-identical
-// to gbdt::Trainer at every (transport, world size, shard count, thread
-// count), including under every recoverable injected fault. That contract
-// is EXPECT_EQ-asserted by tests/test_distributed.cc and
-// tests/test_distributed_faults.cc.
-// Elastic membership (DistributedConfig.elastic, TCP worlds): instead of
-// a fixed world, rank 0 recomputes the shard->rank assignment at every
-// tree boundary from the transport's live membership view. Late joiners
-// are admitted with a catch-up message (every finished tree + loss) and
-// enter at the next boundary; workers that die mid-tree are adopted as
-// before and evicted at the boundary; a worker that dies and rejoins (a
-// new session nonce on the same rank) is re-admitted through the same
-// catch-up path. Because every regrouping is a pure recomputation over
-// the quantized-exact shard partition, the final model stays bit-identical
-// to gbdt::Trainer through any such churn -- tests/test_elastic.cc
-// EXPECT_EQ-asserts this across kill / hang / rejoin schedules.
+// is stable, the trained model -- structure, weights, gains, per-tree
+// losses, predictions, and rank-0's StepTrace -- is bit-identical to
+// gbdt::Trainer at every (transport, world size, shard count, thread
+// count), under every recoverable injected fault and through any
+// membership churn. tests/test_distributed.cc,
+// tests/test_distributed_faults.cc and tests/test_elastic.cc assert it
+// with EXPECT_EQ.
 #pragma once
 
 #include <chrono>
@@ -75,17 +88,18 @@ struct DistributedConfig {
   /// Re-execute a dead worker's shards on rank 0 (catch-up replay). When
   /// off, a dead worker aborts training loudly.
   bool adopt_dead_workers = true;
-  /// Elastic membership (see the header comment). Requires a
-  /// membership-capable transport on rank 0 (TcpTransport); workers
-  /// follow the assignment stream instead of deriving ranges from
-  /// (world_size, rank).
+  /// The membership rule (see the header comment): false admits the whole
+  /// world at the first boundary and keeps it fixed; true re-evaluates
+  /// live membership at every boundary and requires a membership-capable
+  /// transport on rank 0 (TcpTransport). Workers follow the assignment
+  /// stream either way.
   bool elastic = false;
   /// Worker-side fault-injection hook for churn tests: consulted at the
   /// ElasticChurnPoints of every tree. Null means kContinue.
   std::function<ElasticChurnAction(std::uint32_t tree, ElasticChurnPoint)>
       churn_hook;
-  /// Rank-0 hook fired at every elastic tree boundary *before* membership
-  /// is re-evaluated -- the churn harness uses it to launch late joiners.
+  /// Rank-0 hook fired at every tree boundary *before* membership is
+  /// evaluated -- the churn harness uses it to launch late joiners.
   std::function<void(std::uint32_t tree)> on_tree_boundary;
 };
 
@@ -94,16 +108,21 @@ struct DistributedStats {
   std::uint32_t world_size = 1;
   std::uint32_t rank = 0;
   std::uint32_t shards_total = 0;
-  std::uint32_t shards_local = 0;    // owned at start (rank's own range)
+  /// Shards of this rank's first assignment (0 for a worker that never got
+  /// one).
+  std::uint32_t shards_local = 0;
   std::uint32_t shards_adopted = 0;  // re-executed for dead workers (rank 0)
+  /// Rank 0: workers declared dead -- mid-tree, or never connected by the
+  /// fixed rule's admission deadline.
   std::uint32_t dead_workers = 0;
-  /// Elastic runs (rank 0): tree boundaries at which the live-member set
-  /// -- and with it the shard assignment -- changed after the initial one.
+  /// Rank 0: tree boundaries at which the live-member set -- and with it
+  /// the shard assignment -- changed after the initial one (evictions
+  /// under either rule, joins under the live rule).
   std::uint32_t repartitions = 0;
-  /// Elastic runs (rank 0): workers admitted after training started.
+  /// Rank 0, live rule: workers admitted after the first boundary.
   std::uint32_t joins = 0;
-  /// Elastic runs (worker): 1 when this worker lost its coordinator and
-  /// returned gracefully with whatever model prefix it had.
+  /// Worker: 1 when this worker lost its coordinator and returned with
+  /// whatever model prefix it had.
   std::uint32_t orphaned = 0;
   ipc::ReliableStats channel;
   ipc::TransportStats transport;
@@ -136,15 +155,13 @@ class DistributedTrainer {
   const DistributedStats& stats() const { return stats_; }
 
  private:
-  TrainResult train_rank0(const BinnedDataset& data, trace::StepTrace* trace,
-                          trace::WorkloadInfo* info);
-  TrainResult train_worker(const BinnedDataset& data,
-                           trace::WorkloadInfo* info);
-  TrainResult train_rank0_elastic(const BinnedDataset& data,
-                                  trace::StepTrace* trace,
-                                  trace::WorkloadInfo* info);
-  TrainResult train_worker_elastic(const BinnedDataset& data,
-                                   trace::WorkloadInfo* info);
+  /// Rank 0's driver: membership, assignment, merge, split scan, and
+  /// the broadcasts.
+  TrainResult coordinate(const BinnedDataset& data, trace::StepTrace* trace,
+                         trace::WorkloadInfo* info);
+  /// A worker's loop: catch-up, then one assignment per tree until the
+  /// final one.
+  TrainResult follow(const BinnedDataset& data, trace::WorkloadInfo* info);
 
   DistributedConfig cfg_;
   ipc::Transport* transport_;

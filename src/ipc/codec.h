@@ -58,18 +58,18 @@ enum class MessageType : std::uint8_t {
   kShardSummary = 4,
   /// Rank 0 -> worker: per-tree loss + the step-6 continue/stop decision.
   kTreeVerdict = 5,
-  /// Worker -> rank 0: confirms the final (stop_training) verdict arrived.
+  /// Worker -> rank 0: confirms the final assignment arrived.
   /// The shutdown barrier: rank 0 keeps servicing re-requests until every
   /// live worker confirms, so a lost *tail* frame (the one message with
   /// no successor) still heals instead of stranding the worker.
   kGoodbye = 6,
-  /// Rank 0 -> worker (elastic): the worker's shard range for one tree
+  /// Rank 0 -> worker: the worker's shard range for one tree
   /// under the current membership view -- or, with final_assign set, the
   /// end-of-training signal.
   kShardAssign = 7,
-  /// Rank 0 -> joining worker (elastic): every finished tree plus its
-  /// per-tree loss, so a late joiner replays the model and enters the
-  /// protocol at the current boundary.
+  /// Rank 0 -> admitted worker: every finished tree (warm-start trees
+  /// first) plus its per-tree loss, so the worker replays the model and
+  /// enters the protocol at the current boundary.
   kCatchUp = 8,
   /// Control (ReliableChannel): re-request of frames from a sequence
   /// number on. Never carries a data sequence number itself.
@@ -192,8 +192,8 @@ struct TreeVerdictMsg {
   bool early_stopped = false;
 };
 
-/// Rank 0 -> worker shard assignment for one tree boundary (elastic
-/// membership). With final_assign set, tree is one past the last trained
+/// Rank 0 -> worker shard assignment for one tree boundary (any
+/// membership rule). With final_assign set, tree is one past the last trained
 /// tree, the range is empty, and early_stopped carries the run verdict --
 /// the worker's cue to send its goodbye and return.
 struct ShardAssignMsg {

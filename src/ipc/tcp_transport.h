@@ -4,10 +4,10 @@
 //
 //   * rank 0 listens (127.0.0.1 by default; any interface on request)
 //     and accepts workers at *any* time, not just at startup -- the
-//     elastic trainer admits late joiners at tree boundaries;
-//   * every connection is non-blocking with TCP_NODELAY; frames use the
-//     same 4-byte little-endian length prefix as the socket/file
-//     transports, clamped at kMaxFrameBytes before any allocation;
+//     live membership rule admits late joiners at tree boundaries;
+//   * every connection is non-blocking with TCP_NODELAY; frames carry a
+//     4-byte little-endian length prefix, clamped at kMaxFrameBytes
+//     before any allocation;
 //   * each peer has a bounded send buffer (byte cap): sends flush
 //     opportunistically, a frame that would overflow the cap is dropped
 //     and counted -- backpressure against a non-draining peer instead of
@@ -21,7 +21,7 @@
 //     reconnect_window, reports kClosed;
 //   * rank 0 exposes the membership surface (Transport::take_peer_events
 //     etc.): joined / resumed / new-session / disconnected events, which
-//     the elastic trainer folds into its shard assignment at tree
+//     the distributed trainer folds into its shard assignment at tree
 //     boundaries.
 //
 // Hello wire format (16 bytes, little-endian): magic 'B','T','C','P',

@@ -7,16 +7,13 @@
 // (ipc::ReliableChannel), which is what lets ipc::FaultyTransport inject
 // exactly those faults underneath an unchanged protocol.
 //
-// Implementations (one writer per directed channel, as the ROADMAP's
-// cross-process follow-on prescribes):
+// Implementations (one writer per directed channel):
 //   * LoopbackTransport (loopback.h) -- in-memory queues, threads-as-ranks;
-//   * FileTransport (file_transport.h) -- one append-only spool file per
-//     directed pair, readable across processes;
-//   * SocketTransport (socket_transport.h) -- AF_UNIX stream sockets in a
-//     star around rank 0;
 //   * TcpTransport (tcp_transport.h) -- TCP star multiplexed on an epoll
-//     Poller, with reconnect/backoff, session nonces, and the membership
-//     surface (peer events) the elastic trainer consumes.
+//     Poller, across threads or processes, with reconnect/backoff, session
+//     nonces, and the membership surface (peer events) rank 0's driver
+//     consumes.
+// ipc::FaultyTransport (faulty.h) decorates either with injected faults.
 #pragma once
 
 #include <chrono>
@@ -27,9 +24,9 @@
 namespace booster::ipc {
 
 /// Upper bound on one transport frame: the codec's maximum payload plus
-/// header slack. Length-prefixed transports (file, socket) reject a
-/// larger prefix *before* allocating -- a corrupted spool or desynced
-/// stream must surface as a closed channel, not a multi-gigabyte resize.
+/// header slack. The length-prefixed TCP transport rejects a larger
+/// prefix *before* allocating -- a desynced stream must surface as a
+/// closed channel, not a multi-gigabyte resize.
 inline constexpr std::size_t kMaxFrameBytes = (1u << 28) + 256;
 
 enum class RecvStatus : std::uint8_t {
@@ -49,7 +46,7 @@ struct TransportStats {
 };
 
 /// Membership change observed by a connection-oriented transport.
-/// Consumed by the elastic trainer on rank 0 via take_peer_events().
+/// Consumed by the distributed trainer on rank 0 via take_peer_events().
 enum class PeerEventKind : std::uint8_t {
   kJoined = 0,   // first connection of this rank
   kResumed,      // reconnect presenting the same session nonce
@@ -69,7 +66,7 @@ class Transport {
 
   virtual std::uint32_t world_size() const = 0;
   virtual std::uint32_t rank() const = 0;
-  /// Transport kind for logs/benches ("loopback", "file", "socket", ...).
+  /// Transport kind for logs/benches ("loopback", "tcp", "faulty", ...).
   virtual const char* kind() const = 0;
 
   /// Sends one frame to rank `dst`. Returns false when the transport
@@ -84,7 +81,7 @@ class Transport {
                           std::chrono::milliseconds timeout) = 0;
 
   // --- membership surface (connection-oriented transports only) ---
-  // The elastic trainer drives these on rank 0; queue-backed transports
+  // The distributed trainer drives these on rank 0; queue-backed transports
   // keep the defaults (no membership: every rank is permanently
   // "connected" and no events ever fire).
 

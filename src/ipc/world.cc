@@ -1,13 +1,5 @@
 #include "ipc/world.h"
 
-#include <unistd.h>
-
-#include <atomic>
-#include <cstdlib>
-#include <filesystem>
-
-#include "ipc/file_transport.h"
-#include "ipc/socket_transport.h"
 #include "ipc/tcp_transport.h"
 #include "util/check.h"
 
@@ -16,8 +8,6 @@ namespace booster::ipc {
 const char* transport_kind_name(TransportKind kind) {
   switch (kind) {
     case TransportKind::kLoopback: return "loopback";
-    case TransportKind::kFile: return "file";
-    case TransportKind::kSocket: return "socket";
     case TransportKind::kTcp: return "tcp";
   }
   return "unknown";
@@ -25,20 +15,8 @@ const char* transport_kind_name(TransportKind kind) {
 
 std::optional<TransportKind> transport_kind_from_name(std::string_view name) {
   if (name == "loopback") return TransportKind::kLoopback;
-  if (name == "file") return TransportKind::kFile;
-  if (name == "socket") return TransportKind::kSocket;
   if (name == "tcp") return TransportKind::kTcp;
   return std::nullopt;
-}
-
-std::string unique_ipc_path(const std::string& tag) {
-  static std::atomic<std::uint64_t> counter{0};
-  const char* tmp = std::getenv("TMPDIR");
-  std::string base = (tmp != nullptr && *tmp != '\0') ? tmp : "/tmp";
-  // Short on purpose: sockaddr_un.sun_path caps AF_UNIX paths at ~100
-  // bytes, and spool paths inherit this prefix too.
-  return base + "/booster-" + tag + "-" + std::to_string(::getpid()) + "-" +
-         std::to_string(counter.fetch_add(1));
 }
 
 InProcessWorld::InProcessWorld(TransportKind kind, std::uint32_t world_size,
@@ -51,36 +29,17 @@ InProcessWorld::InProcessWorld(TransportKind kind, std::uint32_t world_size,
       inner_(world_size),
       wrapped_(world_size) {
   BOOSTER_CHECK_MSG(world_size >= 1, "world needs at least one rank");
-  switch (kind_) {
-    case TransportKind::kLoopback:
-      hub_ = std::make_unique<LoopbackHub>(world_size);
-      break;
-    case TransportKind::kFile:
-      path_ = unique_ipc_path("spool");
-      break;
-    case TransportKind::kSocket:
-      path_ = unique_ipc_path("sock");
-      break;
-    case TransportKind::kTcp:
-      break;  // rank 0 publishes its ephemeral port from endpoint()
-  }
-}
-
-InProcessWorld::~InProcessWorld() {
-  // Close every endpoint (open spool fds / sockets) before removing the
-  // scratch path.
-  wrapped_.clear();
-  inner_.clear();
-  if (!path_.empty()) {
-    std::error_code ec;  // best effort; never throw from a destructor
-    std::filesystem::remove_all(path_, ec);
+  // TCP worlds need no shared state up front: rank 0 publishes its
+  // ephemeral port from endpoint().
+  if (kind_ == TransportKind::kLoopback) {
+    hub_ = std::make_unique<LoopbackHub>(world_size);
   }
 }
 
 Transport* InProcessWorld::endpoint(std::uint32_t rank) {
   BOOSTER_CHECK_MSG(rank < world_size_, "world rank out of range");
-  // Socket endpoints rendezvous (rank 0 accepts while workers connect),
-  // so they must be constructed outside the lock.
+  // TCP workers block on rank 0's port and their connect, so endpoints
+  // are constructed outside the lock.
   std::unique_ptr<Transport> t;
   switch (kind_) {
     case TransportKind::kLoopback: {
@@ -88,13 +47,6 @@ Transport* InProcessWorld::endpoint(std::uint32_t rank) {
       t = hub_->endpoint(rank);
       break;
     }
-    case TransportKind::kFile:
-      t = std::make_unique<FileTransport>(path_, world_size_, rank);
-      break;
-    case TransportKind::kSocket:
-      t = rank == 0 ? SocketTransport::serve(path_, world_size_)
-                    : SocketTransport::connect(path_, world_size_, rank);
-      break;
     case TransportKind::kTcp: {
       if (rank == 0) {
         auto t0 = TcpTransport::listen("127.0.0.1", 0, world_size_);

@@ -1,11 +1,11 @@
-// In-process world assembly for the pluggable transports: one object that
-// hands each rank thread its Transport endpoint, whatever the kind --
-// loopback (shared hub), file (shared spool directory), or socket (rank 0
-// serves, workers connect). Optionally wraps every endpoint in a seeded
+// In-process world assembly for the two transports: one object that hands
+// each rank thread its Transport endpoint, whatever the kind -- loopback
+// (shared hub) or tcp (rank 0 listens on an ephemeral localhost port,
+// workers connect). Optionally wraps every endpoint in a seeded
 // ipc::FaultyTransport, which is how the fault-injection tests drive the
 // whole training protocol through loss/corruption/reordering without
 // touching trainer code. Cross-process worlds (examples/multi_process.cpp)
-// construct FileTransport / SocketTransport endpoints directly instead.
+// construct TcpTransport endpoints directly instead.
 #pragma once
 
 #include <condition_variable>
@@ -13,7 +13,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "ipc/faulty.h"
@@ -22,34 +22,26 @@
 
 namespace booster::ipc {
 
-enum class TransportKind : std::uint8_t { kLoopback = 0, kFile, kSocket, kTcp };
+enum class TransportKind : std::uint8_t { kLoopback = 0, kTcp };
 
 const char* transport_kind_name(TransportKind kind);
 std::optional<TransportKind> transport_kind_from_name(std::string_view name);
 
-/// A unique scratch path under the system temp directory (spool dir for
-/// file transports, socket path for socket transports). Distinct on every
-/// call, also across processes.
-std::string unique_ipc_path(const std::string& tag);
-
 class InProcessWorld {
  public:
-  /// For kFile/kSocket a fresh unique_ipc_path() is used automatically.
   /// With `faults`, every endpoint is wrapped in a FaultyTransport seeded
   /// with seed + rank (deterministic per rank).
   InProcessWorld(TransportKind kind, std::uint32_t world_size,
                  std::optional<FaultConfig> faults = std::nullopt,
                  std::uint64_t fault_seed = 0);
-  /// Removes the scratch spool directory / socket path (after closing
-  /// the endpoints), so test grids don't litter the temp directory.
-  ~InProcessWorld();
 
   std::uint32_t world_size() const { return world_size_; }
   TransportKind transport_kind() const { return kind_; }
 
-  /// Rank `rank`'s endpoint. For socket worlds this *blocks* (rank 0
-  /// accepting, workers connecting), so every rank must call it from its
-  /// own thread concurrently -- exactly how the rank threads start up.
+  /// Rank `rank`'s endpoint. For tcp worlds a worker's call *blocks* until
+  /// rank 0 published its port and the connect completed, so every rank
+  /// must call it from its own thread concurrently -- exactly how the
+  /// rank threads start up.
   /// The returned transport is owned by the world; the per-rank fault
   /// stats can be read from it after the run.
   Transport* endpoint(std::uint32_t rank);
@@ -61,7 +53,6 @@ class InProcessWorld {
  private:
   TransportKind kind_;
   std::uint32_t world_size_;
-  std::string path_;
   std::optional<FaultConfig> faults_;
   std::uint64_t fault_seed_;
   std::unique_ptr<LoopbackHub> hub_;

@@ -691,7 +691,7 @@ std::optional<ScenarioSpec> ScenarioSpec::from_json(const Json& json,
   if (!ipc::transport_kind_from_name(spec.transport).has_value()) {
     set_error(error, "scenario.runner.transport: unknown transport \"" +
                          spec.transport +
-                         "\" (expected loopback, file, socket, or tcp)");
+                         "\" (expected loopback or tcp)");
     return std::nullopt;
   }
   if (!spec.churn.empty()) {

@@ -176,8 +176,7 @@ struct ScenarioSpec {
   /// gbdt::DistributedTrainer over `transport` (an in-process world of
   /// `procs` rank threads). Also bit-identical, by the same contract.
   std::uint32_t procs = 1;
-  /// Histogram transport for procs > 1: "loopback", "file", "socket", or
-  /// "tcp".
+  /// Histogram transport for procs > 1: "loopback" or "tcp".
   std::string transport = "loopback";
   /// tcp-only: a kill/hang/join churn schedule (ipc::ChurnSchedule
   /// grammar, e.g. "kill:1@2,join:3@4"). Non-empty runs the functional

@@ -36,8 +36,7 @@ WorkloadResult run_workload(const DatasetSpec& spec, RunnerConfig cfg) {
     // just exercises the ipc stack.
     const auto kind = ipc::transport_kind_from_name(cfg.transport);
     BOOSTER_CHECK_MSG(kind.has_value(),
-                      "RunnerConfig.transport must be loopback, file, "
-                      "socket, or tcp");
+                      "RunnerConfig.transport must be loopback or tcp");
     gbdt::DistributedConfig dcfg;
     dcfg.trainer = tcfg;
     if (!cfg.churn.empty()) {

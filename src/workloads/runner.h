@@ -36,8 +36,8 @@ struct RunnerConfig {
   /// trainer, so raising this never changes results either -- it
   /// exercises the transport/merge stack inside the pipeline.
   std::uint32_t procs = 1;
-  /// Histogram transport for procs > 1: "loopback", "file", "socket", or
-  /// "tcp" (ipc::transport_kind_from_name).
+  /// Histogram transport for procs > 1: "loopback" or "tcp"
+  /// (ipc::transport_kind_from_name).
   std::string transport = "loopback";
   /// tcp-only: a kill/hang/join schedule in ipc::ChurnSchedule grammar
   /// ("kill:<rank>@<tree>,hang:<rank>@<tree>,join:<rank>@<tree>").

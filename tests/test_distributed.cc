@@ -100,8 +100,6 @@ TEST(DistributedEquivalence, BitIdenticalAcrossTransportsProcsShardsThreads) {
   const auto ref = Trainer(base_config()).train(data);
 
   const ipc::TransportKind kinds[] = {ipc::TransportKind::kLoopback,
-                                      ipc::TransportKind::kFile,
-                                      ipc::TransportKind::kSocket,
                                       ipc::TransportKind::kTcp};
   for (const auto kind : kinds) {
     for (const std::uint32_t procs : {1u, 2u, 4u}) {
@@ -237,6 +235,53 @@ TEST(DistributedEquivalence, EarlyStoppingDecisionsPropagate) {
   ASSERT_EQ(workers.size(), 1u);
   EXPECT_EQ(workers[0].early_stopped, ref.early_stopped);
   EXPECT_EQ(workers[0].model.num_trees(), ref.model.num_trees());
+}
+
+TEST(DistributedEquivalence, WarmStartMatchesTrainerOnEveryRank) {
+  // Every admitted worker receives the init trees in its catch-up; like
+  // rank 0 and Trainer it must keep them out of avg_leaf_depth.
+  const auto data = random_binned(2001, 59);
+  const auto init = Trainer(base_config(3)).train(data);
+  TrainerConfig warm = base_config(3);
+  warm.init_model = &init.model;
+  const auto ref = Trainer(warm).train(data);
+  ASSERT_EQ(ref.model.num_trees(), 6u);
+
+  for (const std::uint32_t procs : {2u, 4u}) {
+    for (const std::uint32_t shards : {3u, 8u}) {
+      DistributedConfig cfg;
+      cfg.trainer = warm;
+      cfg.trainer.num_shards = shards;
+      ipc::InProcessWorld world(ipc::TransportKind::kLoopback, procs);
+      std::vector<TrainResult> workers;
+      const auto got = train_in_process(cfg, world, data, nullptr, nullptr,
+                                        &workers);
+      const std::string context = "warm start / " + std::to_string(procs) +
+                                  " procs / " + std::to_string(shards) +
+                                  " shards";
+      expect_results_bit_identical(got, ref, data, context + " rank 0");
+      ASSERT_EQ(workers.size(), procs - 1) << context;
+      for (std::size_t w = 0; w < workers.size(); ++w) {
+        expect_results_bit_identical(
+            workers[w], ref, data,
+            context + " worker rank " + std::to_string(w + 1));
+      }
+    }
+  }
+
+  // The live membership rule admits through the same catch-up.
+  ElasticWorldConfig ecfg;
+  ecfg.dist.trainer = warm;
+  ecfg.dist.trainer.num_shards = 3;
+  ecfg.initial_workers = 2;
+  const auto out = train_elastic_tcp(ecfg, data);
+  ASSERT_TRUE(out.rank0.has_value());
+  expect_results_bit_identical(*out.rank0, ref, data, "warm start tcp rank 0");
+  ASSERT_EQ(out.completed.size(), 2u);
+  for (std::size_t w = 0; w < out.completed.size(); ++w) {
+    expect_results_bit_identical(out.completed[w], ref, data,
+                                 "warm start tcp worker " + std::to_string(w));
+  }
 }
 
 TEST(DistributedEquivalence, ShardedTrainerDelegatesToSingleRankWorld) {

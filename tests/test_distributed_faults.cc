@@ -4,10 +4,10 @@
 // worker death -- and proves the result is *still* bit-identical to the
 // in-process gbdt::Trainer (EXPECT_EQ, no tolerances): the retry protocol
 // may resend, re-request, and re-execute, but it may never change a bit.
-// Unrecoverable situations (a dead worker with shard adoption disabled,
-// a worker cut off from its coordinator) must fail loudly -- death tests
-// pin the abort -- because the one unacceptable outcome is silent
-// divergence.
+// A dead worker with shard adoption disabled is unrecoverable and must
+// fail loudly -- a death test pins the abort -- because the one
+// unacceptable outcome is silent divergence. A worker cut off from its
+// coordinator is not: it returns, flagged as orphaned, without aborting.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -302,7 +302,24 @@ TEST_F(DistributedFaults, UnrecoverableBlackoutFailsLoudly) {
                                   9);
         (void)train_in_process(cfg, world, data);
       },
-      "declared dead|lost its coordinator");
+      "declared dead");
+}
+
+TEST_F(DistributedFaults, WorkerWithoutCoordinatorReturnsOrphaned) {
+  // World of 2 ranks, but rank 0 never starts: the worker's wait for its
+  // catch-up runs out of attempts, and it returns instead of aborting.
+  ipc::LoopbackHub hub(2);
+  auto endpoint = hub.endpoint(1);
+  DistributedConfig cfg;
+  cfg.trainer = base_config();
+  cfg.trainer.num_shards = 3;
+  cfg.channel.recv_timeout = std::chrono::milliseconds(5);
+  cfg.channel.max_attempts = 3;
+  DistributedTrainer worker(cfg, endpoint.get());
+  const auto got = worker.train(data_);
+  EXPECT_EQ(worker.stats().orphaned, 1u);
+  EXPECT_EQ(worker.stats().rank, 1u);
+  EXPECT_EQ(got.model.num_trees(), 0u);
 }
 
 }  // namespace

@@ -18,7 +18,9 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "gbdt/binning.h"
@@ -268,6 +270,65 @@ TEST(ElasticTcp, ChurnStormGridStaysBitIdentical) {
       }
     }
   }
+}
+
+TEST(FixedTcpWorld, RankZeroWaitsForALateConnectBeforeAdmitting) {
+  // Under the fixed rule rank 0 admits the whole world at the first
+  // boundary. A worker that connects a little late must still be waited
+  // for: otherwise rank 0 would start alone, take every shard, and the
+  // worker would never be admitted.
+  const auto data = random_binned(1201, 67);
+  const auto tcfg = base_config(3, 3);
+  const auto ref = Trainer(tcfg).train(data);
+  data.ensure_row_major();
+
+  auto listener = ipc::TcpTransport::listen("127.0.0.1", 0, 2);
+  ASSERT_NE(listener, nullptr);
+  const std::uint16_t port = listener->port();
+  DistributedConfig cfg;
+  cfg.trainer = tcfg;
+  cfg.channel.liveness_timeout = 5000ms;
+
+  std::optional<TrainResult> worker_result;
+  DistributedStats worker_stats;
+  std::thread worker([&] {
+    std::this_thread::sleep_for(200ms);
+    auto transport = ipc::TcpTransport::connect("127.0.0.1", port, 2, 1);
+    ASSERT_NE(transport, nullptr);
+    DistributedTrainer trainer(cfg, transport.get());
+    worker_result = trainer.train(data);
+    worker_stats = trainer.stats();
+  });
+  DistributedTrainer rank0(cfg, listener.get());
+  const auto got = rank0.train(data);
+  worker.join();
+
+  expect_result_bit_identical(got, ref, data, "late connect rank0");
+  EXPECT_EQ(rank0.stats().dead_workers, 0u);
+  EXPECT_EQ(rank0.stats().shards_local, 1u);  // [0, 1) of 3 over 2 ranks
+  ASSERT_TRUE(worker_result.has_value());
+  expect_result_bit_identical(*worker_result, ref, data, "late connect worker");
+  EXPECT_EQ(worker_stats.orphaned, 0u);
+  EXPECT_EQ(worker_stats.shards_local, 2u);
+}
+
+TEST(FixedTcpWorld, RankThatNeverConnectsIsDeclaredDeadAtAdmission) {
+  // The wait is bounded by the liveness deadline: past it, the missing
+  // rank counts as dead and rank 0 trains without it.
+  const auto data = random_binned(1201, 71);
+  const auto tcfg = base_config(3, 3);
+  const auto ref = Trainer(tcfg).train(data);
+
+  auto listener = ipc::TcpTransport::listen("127.0.0.1", 0, 2);
+  ASSERT_NE(listener, nullptr);
+  DistributedConfig cfg;
+  cfg.trainer = tcfg;
+  cfg.channel.liveness_timeout = 200ms;
+  DistributedTrainer rank0(cfg, listener.get());
+  const auto got = rank0.train(data);
+  expect_result_bit_identical(got, ref, data, "absent rank");
+  EXPECT_EQ(rank0.stats().dead_workers, 1u);
+  EXPECT_EQ(rank0.stats().shards_local, 3u);
 }
 
 TEST(ElasticTcp, SigkilledRealProcessIsSurvivedBitIdentically) {

@@ -1,22 +1,19 @@
 // Transport-contract tests for the src/ipc layer: every Transport must
 // deliver frames point-to-point, intact, FIFO per directed pair, with a
 // bounded-timeout recv -- the exact (and only) guarantees the reliable
-// channel builds on. The same assertions run against all three
-// implementations (loopback queues, spool files, AF_UNIX sockets), plus
-// unit tests of ReliableChannel's retry machinery over a deterministic
+// channel builds on. The shared assertions run against the loopback
+// queues here (tests/test_ipc_tcp.cc covers TcpTransport), plus unit
+// tests of ReliableChannel's retry machinery over a deterministic
 // FaultyTransport.
 #include <gtest/gtest.h>
 
-#include <string>
 #include <thread>
 #include <vector>
 
 #include "ipc/codec.h"
 #include "ipc/faulty.h"
-#include "ipc/file_transport.h"
 #include "ipc/loopback.h"
 #include "ipc/reliable.h"
-#include "ipc/socket_transport.h"
 #include "ipc/world.h"
 
 namespace booster::ipc {
@@ -47,8 +44,7 @@ void exercise_pair(Transport& a, Transport& b) {
   ASSERT_EQ(b.recv(a.rank(), &got, std::chrono::milliseconds(2000)),
             RecvStatus::kOk);
   EXPECT_EQ(got, f2);
-  // A frame bigger than any internal buffer arrives intact (the socket
-  // transport must reassemble it across reads).
+  // A frame bigger than any internal buffer arrives intact.
   ASSERT_EQ(b.recv(a.rank(), &got, std::chrono::milliseconds(2000)),
             RecvStatus::kOk);
   EXPECT_EQ(got, big);
@@ -77,74 +73,6 @@ TEST(IpcTransport, LoopbackDeliversFifoIntactWithTimeout) {
   // Self-send and out-of-world sends are rejected.
   EXPECT_FALSE(t0->send(0, frame_of({1})));
   EXPECT_FALSE(t0->send(7, frame_of({1})));
-}
-
-TEST(IpcTransport, FileSpoolDeliversFifoIntactWithTimeout) {
-  const std::string dir = unique_ipc_path("spool-test");
-  FileTransport t0(dir, 2, 0);
-  FileTransport t1(dir, 2, 1);
-  exercise_pair(t0, t1);
-}
-
-TEST(IpcTransport, FileSpoolReaderMayStartBeforeWriter) {
-  const std::string dir = unique_ipc_path("spool-late");
-  FileTransport reader(dir, 2, 1);
-  std::vector<std::uint8_t> got;
-  // Nothing spooled yet -- not even the file exists.
-  EXPECT_EQ(reader.recv(0, &got, std::chrono::milliseconds(5)),
-            RecvStatus::kTimeout);
-  std::thread writer_thread([&] {
-    FileTransport writer(dir, 2, 0);
-    writer.send(1, frame_of({9, 8, 7}));
-  });
-  EXPECT_EQ(reader.recv(0, &got, std::chrono::milliseconds(2000)),
-            RecvStatus::kOk);
-  EXPECT_EQ(got, frame_of({9, 8, 7}));
-  writer_thread.join();
-}
-
-TEST(IpcTransport, SocketStarDeliversFifoIntactWithTimeout) {
-  const std::string path = unique_ipc_path("sock-test");
-  std::unique_ptr<SocketTransport> server;
-  std::unique_ptr<SocketTransport> client;
-  std::thread server_thread([&] { server = SocketTransport::serve(path, 3); });
-  std::thread client_thread(
-      [&] { client = SocketTransport::connect(path, 3, 1); });
-  std::unique_ptr<SocketTransport> client2;
-  std::thread client2_thread(
-      [&] { client2 = SocketTransport::connect(path, 3, 2); });
-  server_thread.join();
-  client_thread.join();
-  client2_thread.join();
-  ASSERT_NE(server, nullptr);
-  ASSERT_NE(client, nullptr);
-  ASSERT_NE(client2, nullptr);
-  exercise_pair(*server, *client);
-  // Star topology: worker-to-worker channels are unsupported by design.
-  EXPECT_FALSE(client->send(2, frame_of({1})));
-  std::vector<std::uint8_t> got;
-  EXPECT_EQ(client->recv(2, &got, std::chrono::milliseconds(5)),
-            RecvStatus::kClosed);
-  // Rank 0 can talk to the second worker independently.
-  EXPECT_TRUE(server->send(2, frame_of({5, 5})));
-  ASSERT_EQ(client2->recv(0, &got, std::chrono::milliseconds(2000)),
-            RecvStatus::kOk);
-  EXPECT_EQ(got, frame_of({5, 5}));
-}
-
-TEST(IpcTransport, SocketPeerDisappearingReportsClosed) {
-  const std::string path = unique_ipc_path("sock-close");
-  std::unique_ptr<SocketTransport> server;
-  std::unique_ptr<SocketTransport> client;
-  std::thread server_thread([&] { server = SocketTransport::serve(path, 2); });
-  client = SocketTransport::connect(path, 2, 1);
-  server_thread.join();
-  ASSERT_NE(server, nullptr);
-  ASSERT_NE(client, nullptr);
-  server.reset();  // coordinator goes away
-  std::vector<std::uint8_t> got;
-  EXPECT_EQ(client->recv(0, &got, std::chrono::milliseconds(2000)),
-            RecvStatus::kClosed);
 }
 
 TEST(IpcTransport, FaultyTransportInjectsDeterministically) {
@@ -245,14 +173,16 @@ TEST(IpcTransport, ReliableChannelPacesASlowSenderWithoutDesync) {
 }
 
 TEST(IpcTransport, TransportKindNamesRoundTrip) {
-  for (const auto kind :
-       {TransportKind::kLoopback, TransportKind::kFile, TransportKind::kSocket,
-        TransportKind::kTcp}) {
+  for (const auto kind : {TransportKind::kLoopback, TransportKind::kTcp}) {
     const auto parsed = transport_kind_from_name(transport_kind_name(kind));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, kind);
   }
   EXPECT_FALSE(transport_kind_from_name("carrier-pigeon").has_value());
+  // The spool-file and AF_UNIX transports are gone; their names no longer
+  // parse.
+  EXPECT_FALSE(transport_kind_from_name("file").has_value());
+  EXPECT_FALSE(transport_kind_from_name("socket").has_value());
 }
 
 }  // namespace

@@ -469,19 +469,19 @@ TEST(ShardSweep, AxisAndRunnerShardsRoundTripThroughJson) {
 TEST(DistributedRunner, ProcsAndTransportRoundTripThroughJson) {
   auto spec = *builtin_scenario("dse_shard_sweep");
   spec.procs = 2;
-  spec.transport = "socket";
+  spec.transport = "tcp";
   const Json j = spec.to_json();
   const Json* runner = j.find("runner");
   ASSERT_NE(runner, nullptr);
   EXPECT_DOUBLE_EQ(runner->find("procs")->as_double(), 2.0);
-  EXPECT_EQ(runner->find("transport")->as_string(), "socket");
+  EXPECT_EQ(runner->find("transport")->as_string(), "tcp");
 
   std::string error;
   const auto reparsed = ScenarioSpec::from_json(j, &error);
   ASSERT_TRUE(reparsed.has_value()) << error;
   EXPECT_TRUE(*reparsed == spec);
   EXPECT_EQ(reparsed->procs, 2u);
-  EXPECT_EQ(reparsed->transport, "socket");
+  EXPECT_EQ(reparsed->transport, "tcp");
 
   // Defaults stay out of the serialized form (lossless minimal JSON).
   const auto defaults = *builtin_scenario("dse_shard_sweep");
@@ -494,7 +494,7 @@ TEST(DistributedRunner, ProcsAndTransportRoundTripThroughJson) {
   // The knobs reach the workload runner config.
   const auto rcfg = reparsed->runner_config(/*quick=*/false);
   EXPECT_EQ(rcfg.procs, 2u);
-  EXPECT_EQ(rcfg.transport, "socket");
+  EXPECT_EQ(rcfg.transport, "tcp");
 }
 
 TEST(DistributedRunner, ChurnRoundTripsAndIsValidated) {
@@ -532,10 +532,14 @@ TEST(DistributedRunner, ChurnRoundTripsAndIsValidated) {
 
 TEST(DistributedRunner, BadTransportAndZeroProcsAreParseErrors) {
   auto spec = *builtin_scenario("dse_shard_sweep");
-  spec.transport = "carrier-pigeon";
   std::string error;
-  EXPECT_FALSE(ScenarioSpec::from_json(spec.to_json(), &error).has_value());
-  EXPECT_NE(error.find("transport"), std::string::npos) << error;
+  for (const char* name : {"carrier-pigeon", "file", "socket"}) {
+    spec.transport = name;
+    error.clear();
+    EXPECT_FALSE(ScenarioSpec::from_json(spec.to_json(), &error).has_value())
+        << name;
+    EXPECT_NE(error.find("transport"), std::string::npos) << error;
+  }
 
   spec = *builtin_scenario("dse_shard_sweep");
   spec.procs = 0;

@@ -320,5 +320,20 @@ TEST(ShardedEquivalence, MoreShardsThanRecordsClamps) {
   expect_results_bit_identical(got, ref, data, "clamped shards");
 }
 
+TEST(ShardedEquivalence, ZeroTreesStillReportEveryShard) {
+  // No tree boundary is ever reached, yet the run still covers all three
+  // shards in its per-shard stats and returns Trainer's base-score model.
+  const auto data = random_binned(1501, 61);
+  TrainerConfig cfg = base_config(0);
+  cfg.num_shards = 3;
+  const auto got = ShardedTrainer(cfg).train(data);
+  EXPECT_EQ(got.hot_path.shards, 3u);
+  EXPECT_EQ(got.hot_path.per_shard.size(), 3u);
+  const auto ref = Trainer(base_config(0)).train(data);
+  EXPECT_EQ(got.model.num_trees(), 0u);
+  EXPECT_EQ(got.model.base_score(), ref.model.base_score());
+  expect_results_bit_identical(got, ref, data, "zero trees");
+}
+
 }  // namespace
 }  // namespace booster::gbdt
