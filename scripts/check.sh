@@ -107,6 +107,12 @@ if [[ "${BOOSTER_SKIP_SANITIZE:-0}" != "1" ]]; then
   cmake --build "$TSAN_DIR" -j "$(nproc)"
   ctest --test-dir "$TSAN_DIR" --output-on-failure -j "$(nproc)" \
     -R '(ipc|distributed|elastic|sharded|thread_pool|serve|hotpath|trainer)'
+
+  # The pool's spin-then-park hand-off under TSan, by name and repeated so
+  # that a -R change above cannot drop it and a rare interleaving (a
+  # worker snapshotting one generation while the caller publishes the
+  # next, shutdown while workers spin or park) gets many chances to show.
+  "$TSAN_DIR/test_thread_pool" --gtest_repeat=20 > /dev/null
 fi
 
 # Scenario smoke leg: the CLI must list exactly the checked-in scenario

@@ -31,11 +31,11 @@ void build_histogram_parallel(Histogram& out, const BinnedDataset& data,
   partials.reserve(chunks - 1);
   for (unsigned c = 1; c < chunks; ++c) partials.push_back(hist_pool.acquire());
 
-  pool.for_chunks(0, rows.size(), kHistogramGrain,
-                  [&](std::uint64_t b, std::uint64_t e, unsigned c) {
-                    Histogram& h = c == 0 ? out : partials[c - 1];
-                    h.build(data, rows.subspan(b, e - b), gradients);
-                  });
+  pool.parallel_for(0, rows.size(), kHistogramGrain,
+                    [&](std::uint64_t b, std::uint64_t e, unsigned c) {
+                      Histogram& h = c == 0 ? out : partials[c - 1];
+                      h.build(data, rows.subspan(b, e - b), gradients);
+                    });
 
   for (auto& p : partials) {
     out.add(p);
@@ -117,12 +117,12 @@ void partition_to(std::span<const std::uint32_t> src,
   const BinIndex* col = data.column(split.field).data();
 
   // Pass 1: each chunk [b, e) of the span into tmp's matching range.
-  pool.for_chunks(begin, end, kPartitionGrain,
-                  [&](std::uint64_t b, std::uint64_t e, unsigned c) {
-                    chunk_counts[c] =
-                        partition_chunk(src.data() + b, e - b, col,
-                                        side_table, tmp + (b - begin));
-                  });
+  pool.parallel_for(begin, end, kPartitionGrain,
+                    [&](std::uint64_t b, std::uint64_t e, unsigned c) {
+                      chunk_counts[c] =
+                          partition_chunk(src.data() + b, e - b, col,
+                                          side_table, tmp + (b - begin));
+                    });
 
   // Exclusive prefix over the chunk counts -> each chunk's left write base;
   // chunk_counts[chunks] is the realized left total.
@@ -139,16 +139,16 @@ void partition_to(std::span<const std::uint32_t> src,
   // Pass 2: chunk c's lefts start at begin + left_prefix[c]; its rights
   // start after all lefts, offset by the rights that precede the chunk.
   // Chunks are placed in chunk order, so the partition is stable.
-  pool.for_chunks(begin, end, kPartitionGrain,
-                  [&](std::uint64_t b, std::uint64_t e, unsigned c) {
-                    const std::uint64_t lefts_before = chunk_counts[c];
-                    place_partitioned_chunk(
-                        tmp + (b - begin), e - b,
-                        chunk_counts[c + 1] - lefts_before,
-                        dst.data() + begin + lefts_before,
-                        dst.data() + begin + n_left + (b - begin) -
-                            lefts_before);
-                  });
+  pool.parallel_for(begin, end, kPartitionGrain,
+                    [&](std::uint64_t b, std::uint64_t e, unsigned c) {
+                      const std::uint64_t lefts_before = chunk_counts[c];
+                      place_partitioned_chunk(
+                          tmp + (b - begin), e - b,
+                          chunk_counts[c + 1] - lefts_before,
+                          dst.data() + begin + lefts_before,
+                          dst.data() + begin + n_left + (b - begin) -
+                              lefts_before);
+                    });
 }
 
 std::uint64_t order_leaf_spans(std::span<LeafSpan> leaves, std::uint64_t rows) {

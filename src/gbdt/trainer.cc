@@ -104,7 +104,7 @@ TrainResult Trainer::train(const BinnedDataset& data, StepTrace* trace,
   std::vector<GradientPair> gradients(n);
   // Initial gradient pass: part of pre-processing (no tree to traverse),
   // so it is not a step-5 event.
-  pool.for_chunks(0, n, kRecordGrain,
+  pool.parallel_for(0, n, kRecordGrain,
                     [&](std::uint64_t b, std::uint64_t e, unsigned) {
                       for (std::uint64_t r = b; r < e; ++r) {
                         gradients[r] =
@@ -128,7 +128,7 @@ TrainResult Trainer::train(const BinnedDataset& data, StepTrace* trace,
     const auto& ker0 = util::simd::kernels();
     for (const Tree& init_tree : cfg_.init_model->trees()) {
       flat_scratch.assign(init_tree);
-      pool.for_chunks(
+      pool.parallel_for(
           0, n, kRecordGrain,
           [&](std::uint64_t b, std::uint64_t e, unsigned) {
             double wts[util::simd::kMaxPredictTile];
@@ -174,7 +174,7 @@ TrainResult Trainer::train(const BinnedDataset& data, StepTrace* trace,
     // gathers then stream the row-major matrix forward (the cache behavior
     // the seed got from its freshly-copied sorted row vectors) instead of
     // walking the previous tree's permutation.
-    pool.for_chunks(0, n, kRecordGrain,
+    pool.parallel_for(0, n, kRecordGrain,
                       [&](std::uint64_t b, std::uint64_t e, unsigned) {
                         for (std::uint64_t r = b; r < e; ++r) {
                           rows[r] = static_cast<std::uint32_t>(r);
@@ -351,12 +351,12 @@ TrainResult Trainer::train(const BinnedDataset& data, StepTrace* trace,
     // so every bit matches it, and the hops sum(depth x span rows) are the
     // integer the traversal counted.
     const std::uint64_t hops = order_leaf_spans(leaves, n);
-    pool.for_chunks(0, n, kRecordGrain,
-                    [&](std::uint64_t b, std::uint64_t e, unsigned) {
-                      scatter_leaf_deltas(leaves, rows, b, e, 0, deltas);
-                    });
+    pool.parallel_for(0, n, kRecordGrain,
+                      [&](std::uint64_t b, std::uint64_t e, unsigned) {
+                        scatter_leaf_deltas(leaves, rows, b, e, 0, deltas);
+                      });
     std::fill(chunk_sums.begin(), chunk_sums.end(), 0.0);
-    pool.for_chunks(
+    pool.parallel_for(
         0, n, kRecordGrain, [&](std::uint64_t b, std::uint64_t e, unsigned c) {
           double chunk_loss = 0.0;
           for (std::uint64_t r = b; r < e; ++r) {

@@ -8,10 +8,35 @@
 // trampoline} pair (the callable lives on the caller's stack for the
 // duration of the blocking call), never as a std::function.
 //
-// parallel_for partitions a range into at most num_threads() contiguous
-// chunks whose boundaries depend only on (range, num_threads) -- results of
-// chunk-wise reductions are therefore deterministic for a fixed thread
-// count, which the hot-path equivalence tests rely on.
+// Spin-then-park. A training job forks and joins thousands of times on
+// kernels that run for tens of microseconds, so a futex wake per fork
+// would cost as much as the work. The caller publishes each task set as a
+// new generation of an atomic sequence word (a seqlock: a worker takes
+// {ctx, fn, num_tasks} and the generation as one consistent snapshot, so
+// it can never pair one generation's number with the next one's tasks).
+// Idle workers spin on that word for a bounded window (pause, then
+// sched_yield, about two futex wakes long) and only then park on a
+// condition variable; the caller notifies only when a worker is actually
+// parked. The join is the same: the caller spins on the done count under
+// the same bound, then parks, and the worker that finishes the last task
+// wakes it only if it parked. The destructor stops spinning and parked
+// workers at once.
+//
+// CPU reservation. Spinning threads only pay off when each has a CPU of
+// its own. A pool spins only if its num_threads() fit in the CPUs the
+// constructing thread's affinity mask allows, counting the CPUs already
+// reserved by every other live spinning pool in the process; the pool
+// reserves that many for its lifetime. Any other pool (nested pools,
+// in-process rank worlds past the CPU count, a pool wider than its mask)
+// parks immediately, which is the plain condition-variable pool. spins()
+// reports which one a pool is. There is no knob.
+//
+// Determinism is unchanged by how a worker waits: task t always runs on
+// participant t mod num_threads(). parallel_for partitions a range into at
+// most num_threads() contiguous chunks whose boundaries depend only on
+// (range, num_threads) -- results of chunk-wise reductions are therefore
+// deterministic for a fixed thread count, which the hot-path equivalence
+// tests rely on.
 #pragma once
 
 #include <atomic>
@@ -20,7 +45,6 @@
 #include <mutex>
 #include <thread>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 namespace booster::util {
@@ -41,6 +65,10 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   unsigned num_threads() const { return num_threads_; }
+
+  /// True when this pool holds a CPU reservation and its threads spin
+  /// before parking (see the header comment); false for a park-only pool.
+  bool spins() const { return spins_; }
 
   /// Runs fn(task) for every task in [0, num_tasks), distributed over the
   /// workers plus the calling thread; blocks until all tasks finished.
@@ -75,14 +103,6 @@ class ThreadPool {
     });
   }
 
-  /// Alias kept for call sites that emphasize the serial fast path; the
-  /// direct-invoke behavior now lives in parallel_for itself.
-  template <typename Fn>
-  void for_chunks(std::uint64_t begin, std::uint64_t end,
-                  std::uint64_t min_grain, Fn&& fn) {
-    parallel_for(begin, end, min_grain, std::forward<Fn>(fn));
-  }
-
   /// Number of chunks parallel_for uses for `count` items: capped by the
   /// thread count and by floor(count / min_grain), so every chunk gets at
   /// least min_grain items (small ranges stay serial). Callers sizing
@@ -98,22 +118,47 @@ class ThreadPool {
  private:
   using TaskFn = void (*)(void* ctx, unsigned task);
 
+  /// One generation's work as a worker sees it.
+  struct Snapshot {
+    std::uint64_t seq = 0;
+    void* ctx = nullptr;
+    TaskFn fn = nullptr;
+    unsigned num_tasks = 0;
+  };
+
   void run_tasks_impl(unsigned num_tasks, void* ctx, TaskFn fn);
   void worker_loop(unsigned worker_id);
+  /// Blocks until a generation newer than `seen_seq` is published and
+  /// returns its snapshot; false once the pool is stopping.
+  bool await_generation(std::uint64_t seen_seq, Snapshot* out);
+  bool try_snapshot(std::uint64_t seen_seq, Snapshot* out) const;
+  void await_done(unsigned num_tasks);
 
   unsigned num_threads_ = 1;
-  std::vector<std::thread> workers_;
+  bool spins_ = false;
 
+  // Seqlock over the published task: odd while the caller writes the three
+  // fields below, 2 * generation once they are consistent. Only the caller
+  // writes; workers read the fields as relaxed atomics between two reads
+  // of seq_.
+  std::atomic<std::uint64_t> seq_{0};
+  std::atomic<void*> task_ctx_{nullptr};
+  std::atomic<TaskFn> task_fn_{nullptr};
+  std::atomic<unsigned> num_tasks_{0};
+  std::atomic<unsigned> done_tasks_{0};
+  std::atomic<bool> stop_{false};
+
+  // Parking. A waiter registers itself (parked_workers_ / caller_parked_)
+  // under mutex_ before it re-checks its predicate and sleeps; the waking
+  // side updates seq_ / done_tasks_ first and then reads the registration,
+  // all sequentially consistent, so one of the two always sees the other.
   std::mutex mutex_;
   std::condition_variable start_cv_;
   std::condition_variable done_cv_;
-  std::uint64_t generation_ = 0;
-  bool stop_ = false;
+  std::atomic<unsigned> parked_workers_{0};
+  std::atomic<bool> caller_parked_{false};
 
-  void* task_ctx_ = nullptr;
-  TaskFn task_fn_ = nullptr;
-  unsigned num_tasks_ = 0;
-  std::atomic<unsigned> done_tasks_{0};
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace booster::util
