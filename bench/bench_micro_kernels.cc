@@ -103,9 +103,9 @@ void BM_Partition(benchmark::State& state) {
 }
 BENCHMARK(BM_Partition);
 
-// The trainer's step-3 kernel, gbdt::partition_to, on the root's best
-// split over 2^18 fraud rows, in place with a caller scratch as Trainer
-// runs it; the argument is the thread count. (BM_Partition above times
+// The step-3 kernel in its whole-node form, gbdt::partition_to (the
+// trainer runs the same chunk kernels per shard), on the root's best
+// split over 2^18 fraud rows, in place with a caller scratch; the argument is the thread count. (BM_Partition above times
 // core::PredicateEngine, the accelerator model, not this kernel.) A stable
 // partition by the same split is idempotent, so every iteration after the
 // first re-partitions an already partitioned span: the same rows and the

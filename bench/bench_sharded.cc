@@ -1,6 +1,6 @@
-// Sharded-training bench (ISSUE 4): times gbdt::ShardedTrainer against the
-// single-shard gbdt::Trainer on synthetic fraud- and flight-shaped
-// workloads across shard counts, and cross-checks the subsystem's core
+// Sharded-training bench: times gbdt::Trainer at several shard counts
+// (TrainerConfig::num_shards) against its one-shard run on synthetic
+// fraud- and flight-shaped workloads, and cross-checks the engine's core
 // contract -- *bit-identical* models and predictions at every shard count
 // (not merely structural equality: leaf weights, gains, and per-tree
 // training losses must match to the last bit, which the quantized-exact
@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "gbdt/binning.h"
-#include "gbdt/sharded.h"
 #include "gbdt/trainer.h"
 #include "ipc/codec.h"
 #include "workloads/spec.h"
@@ -137,7 +136,7 @@ int main(int argc, char** argv) {
     cfg.loss = spec.loss;
     cfg.num_threads = args.threads;
 
-    // Reference: the single-shard hot path at the same thread count.
+    // Reference: one shard at the same thread count.
     auto t0 = std::chrono::steady_clock::now();
     const auto reference = gbdt::Trainer(cfg).train(data);
     const double reference_s = seconds_since(t0);
@@ -191,7 +190,7 @@ int main(int argc, char** argv) {
       gbdt::TrainerConfig scfg = cfg;
       scfg.num_shards = shard_counts[k];
       t0 = std::chrono::steady_clock::now();
-      const auto sharded = gbdt::ShardedTrainer(scfg).train(data);
+      const auto sharded = gbdt::Trainer(scfg).train(data);
       const double sharded_s = seconds_since(t0);
       const bool identical = results_bit_identical(sharded, reference, data);
 
@@ -219,8 +218,8 @@ int main(int argc, char** argv) {
           k + 1 < shard_counts.size() ? "," : "");
       if (!identical) {
         std::fprintf(stderr,
-                     "FATAL: sharded output diverged from the single-shard"
-                     " trainer (%s, %u shards)\n",
+                     "FATAL: sharded output diverged from the one-shard"
+                     " run (%s, %u shards)\n",
                      spec.name.c_str(), shard_counts[k]);
         return 1;
       }

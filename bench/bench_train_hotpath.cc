@@ -8,8 +8,10 @@
 //                layout + pooling + arena win);
 //   * new @NT -- the refactored trainer at the requested thread count.
 // Also cross-checks that the seed loop and the new trainer grow
-// structurally identical trees, and emits one machine-readable JSON object
-// (see bench/README.md) for the BENCH trajectory.
+// structurally identical trees -- the one model-level oracle that shares no
+// code with the training engine -- and exits non-zero when they do not.
+// Emits one machine-readable JSON object (see bench/README.md) for the
+// BENCH trajectory.
 //
 //   ./bench_train_hotpath [--quick] [--threads N] [--records N] [--trees N]
 //
@@ -251,6 +253,7 @@ int main(int argc, char** argv) {
               booster::util::simd::level_name(booster::util::simd::active()),
               static_cast<unsigned long long>(args.records), args.trees);
 
+  bool all_match = true;
   for (std::size_t w = 0; w < specs.size(); ++w) {
     const auto& spec = specs[w];
     const auto raw = workloads::synthesize(spec, args.records, /*seed=*/42);
@@ -269,6 +272,13 @@ int main(int argc, char** argv) {
     const auto check_seed = train_seed_reference(data, check_cfg);
     const bool models_match =
         models_structurally_equal(check_new.model, check_seed);
+    if (!models_match) {
+      all_match = false;
+      std::fprintf(stderr,
+                   "FATAL: the trainer's trees differ from the seed serial "
+                   "loop's (%s)\n",
+                   spec.name.c_str());
+    }
 
     // Alternate the three legs across repetitions and keep the fastest run
     // of each, so scheduler noise and cache-warming order don't bias the
@@ -323,5 +333,5 @@ int main(int argc, char** argv) {
         w + 1 < specs.size() ? "," : "");
   }
   std::printf("  ]\n}\n");
-  return 0;
+  return all_match ? 0 : 1;
 }

@@ -45,8 +45,9 @@ struct BoosterConfig {
   // of the 3200 to host 6 replicas of a 500-tree ensemble).
   std::uint32_t inference_bus = 3000;
 
-  // Training shards for scale-out projections (gbdt::ShardedTrainer is the
-  // functional engine; see the "shards" sweep axis in sim/scenario.h).
+  // Training shards for scale-out projections (TrainerConfig::num_shards
+  // is the functional counterpart; see the "shards" sweep axis in
+  // sim/scenario.h).
   // Each shard is modeled as a full Booster node -- its own BU array and
   // memory system -- holding 1/S of the records; per-node shard histograms
   // merge in fixed shard order after every step-1 event, charged as

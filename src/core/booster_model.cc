@@ -81,7 +81,7 @@ perf::StepBreakdown BoosterModel::train_cost(
   // pass -- the S-1 remote shard histograms stream in and fold into the
   // merged copy (read + write-back), charged at the sequential-stream
   // effective bandwidth. This is the cost shape of the functional
-  // gbdt::ShardedTrainer's fixed-order Histogram::add merge.
+  // trainer's fixed-order per-shard Histogram::add merge.
   const double shards = std::max<std::uint32_t>(1, cfg_.training_shards);
   const double merge_bytes_per_hist =
       shards > 1.0 ? 2.0 * (shards - 1.0) *

@@ -33,16 +33,16 @@ void emit(StepTrace* trace, StepEvent e) {
   if (trace != nullptr) trace->add(e);
 }
 
-/// Clamp shards exactly like ShardedTrainer: empty shards would be
-/// harmless but pointless. Every rank applies the same rule, so the
-/// global partition agrees without communication.
+/// 0 counts as one shard, and empty shards would be harmless but
+/// pointless. Every rank applies the same rule, so the global partition
+/// agrees without communication.
 std::uint32_t clamp_shards(std::uint32_t requested, std::uint64_t n) {
   return static_cast<std::uint32_t>(
       std::min<std::uint64_t>(std::max(1u, requested), n));
 }
 
-/// The serial base-score pass shared by every rank (and by Trainer):
-/// identical code => identical bits, no communication needed.
+/// The serial base-score pass shared by every rank: identical code =>
+/// identical bits, no communication needed.
 double compute_base_score(const BinnedDataset& data, const Loss& loss) {
   double label_mean = 0.0;
   for (float y : data.labels()) label_mean += y;
@@ -340,9 +340,6 @@ TrainResult DistributedTrainer::coordinate(const BinnedDataset& data,
   /// training result is unchanged. The rank becomes a zombie: it may still
   /// follow the broadcast stream and is evicted once it disconnects.
   const auto adopt = [&](Remote& remote) -> ShardGroup* {
-    BOOSTER_CHECK_MSG(cfg_.adopt_dead_workers,
-                      "ipc worker declared dead and shard adoption is "
-                      "disabled (DistributedConfig.adopt_dead_workers)");
     remote.alive = false;
     ++stats_.dead_workers;
     stats_.shards_adopted += remote.shards();
@@ -411,12 +408,19 @@ TrainResult DistributedTrainer::coordinate(const BinnedDataset& data,
     }
     Histogram merged = merged_pool.acquire();
     for (std::uint32_t s = 0; s < num_shards; ++s) {
-      if (const ShardGroup* g = owner_group(s)) {
-        merged.add(g->built_histogram(s - g->shard_begin()));
+      ShardGroup* g = owner_group(s);
+      BOOSTER_CHECK_MSG(g != nullptr || rx_filled[s] != 0,
+                        "no histogram source for a shard (protocol bug)");
+      Histogram& source = g != nullptr
+                              ? g->built_histogram(s - g->shard_begin())
+                              : rx_by_shard[s];
+      // A single source already is the node histogram: swap buffers
+      // instead of adding it into a cleared one. Each pool gets back a
+      // buffer of the same shape, so both stay allocation-free.
+      if (num_shards == 1) {
+        std::swap(merged, source);
       } else {
-        BOOSTER_CHECK_MSG(rx_filled[s] != 0,
-                          "no histogram source for a shard (protocol bug)");
-        merged.add(rx_by_shard[s]);
+        merged.add(source);
       }
       ++driver_merges;
     }
@@ -434,6 +438,7 @@ TrainResult DistributedTrainer::coordinate(const BinnedDataset& data,
 
   const auto broadcast_decision = [&](const ipc::SplitDecisionMsg& msg) {
     decisions.push_back(msg);
+    if (remotes.empty()) return;
     const auto payload = HistogramCodec::encode_split_decision(msg);
     for (const Remote& remote : remotes) {
       if (remote.shards() > 0) {
@@ -629,7 +634,7 @@ TrainResult DistributedTrainer::coordinate(const BinnedDataset& data,
       }
     }
 
-    {
+    if (transport_ != nullptr) {
       ipc::TreeCompleteMsg msg;
       msg.tree = t;
       msg.nodes.reserve(tree.num_nodes());
@@ -715,7 +720,7 @@ TrainResult DistributedTrainer::coordinate(const BinnedDataset& data,
       prev_loss = tstats.train_loss;
     }
 
-    {
+    if (transport_ != nullptr) {
       ipc::TreeVerdictMsg verdict;
       verdict.tree = t;
       verdict.train_loss = tstats.train_loss;
@@ -871,8 +876,8 @@ TrainResult DistributedTrainer::follow(const BinnedDataset& data,
     ipc::CatchUpMsg catch_up;
     BOOSTER_CHECK_MSG(HistogramCodec::decode_catch_up(frame.payload, &catch_up),
                       "catch-up payload failed to decode (protocol desync)");
-    // The prefix opens with the warm-start trees, which rank 0 (like
-    // Trainer) leaves out of avg_leaf_depth.
+    // The prefix opens with the warm-start trees, which rank 0 leaves
+    // out of avg_leaf_depth.
     std::size_t init_trees =
         tcfg.init_model == nullptr ? 0 : tcfg.init_model->num_trees();
     for (auto& entry : catch_up.trees) {

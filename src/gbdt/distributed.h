@@ -41,14 +41,15 @@
 // aborts for that reason.
 //
 // A nullptr transport is the single-rank world: the same driver with no
-// channel and no workers -- exactly ShardedTrainer's engine.
+// channel and no workers -- what gbdt::Trainer runs.
 //
 // Because the shard merge is quantized-exact and the per-shard partition
 // is stable, the trained model -- structure, weights, gains, per-tree
-// losses, predictions, and rank-0's StepTrace -- is bit-identical to
-// gbdt::Trainer at every (transport, world size, shard count, thread
-// count), under every recoverable injected fault and through any
-// membership churn. tests/test_distributed.cc,
+// losses, predictions, and rank-0's StepTrace -- is bit-identical to the
+// single-rank, single-shard, one-thread run at every (transport, world
+// size, shard count, thread count), under every injected fault a live
+// rank 0 survives (a dead or unreachable worker's shards are re-executed
+// on rank 0) and through any membership churn. tests/test_distributed.cc,
 // tests/test_distributed_faults.cc and tests/test_elastic.cc assert it
 // with EXPECT_EQ.
 #pragma once
@@ -85,9 +86,6 @@ struct DistributedConfig {
   /// Retry protocol knobs (per-attempt timeout, liveness deadline, resend
   /// window).
   ipc::ReliableConfig channel;
-  /// Re-execute a dead worker's shards on rank 0 (catch-up replay). When
-  /// off, a dead worker aborts training loudly.
-  bool adopt_dead_workers = true;
   /// The membership rule (see the header comment): false admits the whole
   /// world at the first boundary and keeps it fixed; true re-evaluates
   /// live membership at every boundary and requires a membership-capable
@@ -132,8 +130,7 @@ class DistributedTrainer {
  public:
   /// `transport` is this rank's endpoint (borrowed; may outlive the
   /// trainer). nullptr runs a single-rank world with no communication --
-  /// exactly ShardedTrainer's engine (and what ShardedTrainer delegates
-  /// to).
+  /// what gbdt::Trainer::train runs.
   DistributedTrainer(DistributedConfig cfg, ipc::Transport* transport);
 
   const DistributedConfig& config() const { return cfg_; }

@@ -17,8 +17,8 @@
 // quantize_stat), so bin values are always integer multiples of the quantum
 // and IEEE addition/subtraction of them is exact -- associative and
 // commutative, like the integer counts. Chunked parallel builds, sibling
-// subtraction, and per-shard histogram merges (Histogram::add in
-// gbdt::ShardedTrainer) therefore produce bit-identical bins for *any*
+// subtraction, and per-shard histogram merges (Histogram::add on rank 0 of
+// gbdt::DistributedTrainer) therefore produce bit-identical bins for *any*
 // chunking, shard split, and merge order. Distributed-histogram GBDT only
 // works if the merge operator has exactly this property.
 #pragma once
@@ -146,7 +146,7 @@ class Histogram {
 
   /// Bin-wise accumulation: *this += other. The reduction step of the
   /// parallel build (per-thread partial histograms summed in chunk order)
-  /// and the per-shard merge operator of gbdt::ShardedTrainer. Exact and
+  /// and the per-shard merge operator of the training engine. Exact and
   /// order-insensitive: bins hold quantum multiples (see quantize_stat).
   void add(const Histogram& other);
 

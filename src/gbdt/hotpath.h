@@ -1,5 +1,8 @@
-// Parallel kernels of the training hot path (paper steps 1, 3 and 5),
-// shared between Trainer, ShardGroup and the equivalence tests / benches:
+// Parallel kernels of the training hot path (paper steps 1, 3 and 5).
+// gbdt::ShardGroup runs the step-3 chunk kernels and the step-5 helpers
+// per shard; build_histogram_parallel and partition_to are the whole-node
+// forms (with the chunking rule ShardGroup applies per shard) that the
+// equivalence tests, benches and probes call:
 //   * step 1: multi-threaded histogram build -- per-chunk partial
 //     histograms drawn from a HistogramPool, reduced in chunk order (so the
 //     result is deterministic for a fixed thread count);

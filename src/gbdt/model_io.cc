@@ -1,5 +1,10 @@
 #include "gbdt/model_io.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <atomic>
+#include <cerrno>
 #include <fstream>
 #include <iomanip>
 #include <span>
@@ -197,10 +202,41 @@ void save_model_checked(const Model& model, std::ostream& out) {
 }
 
 bool save_model_checked_file(const Model& model, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return false;
-  save_model_checked(model, out);
-  return static_cast<bool>(out);
+  std::ostringstream container;
+  save_model_checked(model, container);
+  const std::string bytes = container.str();
+  // A sibling temp file (same directory, so the rename stays on one file
+  // system), unique per process and per call.
+  static std::atomic<std::uint64_t> next_tmp{0};
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
+                          std::to_string(next_tmp.fetch_add(1));
+  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC,
+                        0666);
+  if (fd < 0) return false;
+  bool ok = true;
+  for (std::size_t done = 0; ok && done < bytes.size();) {
+    const ssize_t n = ::write(fd, bytes.data() + done, bytes.size() - done);
+    if (n < 0 && errno == EINTR) continue;
+    ok = n > 0;
+    if (ok) done += static_cast<std::size_t>(n);
+  }
+  ok = ok && ::fsync(fd) == 0;
+  ok = ::close(fd) == 0 && ok;
+  ok = ok && ::rename(tmp.c_str(), path.c_str()) == 0;
+  if (!ok) {
+    ::unlink(tmp.c_str());
+    return false;
+  }
+  // Make the rename itself durable.
+  const std::size_t slash = path.rfind('/');
+  const std::string dir = slash == std::string::npos ? "."
+                          : slash == 0               ? "/"
+                                                     : path.substr(0, slash);
+  const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (dir_fd < 0) return false;
+  ok = ::fsync(dir_fd) == 0;
+  ::close(dir_fd);
+  return ok;
 }
 
 ModelFileStatus load_model_checked(std::istream& in,

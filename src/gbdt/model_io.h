@@ -66,6 +66,10 @@ const char* model_file_status_name(ModelFileStatus status);
 void save_model_checked(const Model& model, std::ostream& out);
 
 /// Saves the checked container to a file; returns false on I/O failure.
+/// Crash-safe replace: the container is written to a sibling temp file,
+/// fsync'd, renamed over `path`, and the directory is fsync'd, so `path`
+/// always holds either the old model or the new one, never a torn write.
+/// A reader that opened the old file keeps reading the old model.
 bool save_model_checked_file(const Model& model, const std::string& path);
 
 /// Validates the container header and checksum, then parses the payload.

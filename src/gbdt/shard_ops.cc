@@ -41,6 +41,8 @@ ShardGroup::ShardGroup(const BinnedDataset& data, const TrainerConfig& cfg,
   gradients_.resize(n);
   deltas_.resize(shards_.back().row_end - shards_.front().row_begin);
   col_ptrs_ = column_pointers(data_);
+  node_chunks_.resize(local);
+  tasks_.reserve(static_cast<std::size_t>(local) * sub_);
   chunk_lefts_.resize(static_cast<std::size_t>(local) * sub_);
   shard_lefts_.resize(local);
   chunk_losses_.resize(static_cast<std::size_t>(local) * sub_);
@@ -59,6 +61,19 @@ std::uint32_t ShardGroup::acquire_slot() {
 
 void ShardGroup::release_slot(std::uint32_t slot) {
   free_slots_.push_back(slot);
+}
+
+unsigned ShardGroup::plan_node_tasks(std::uint32_t slot,
+                                     std::uint64_t grain) {
+  tasks_.clear();
+  for (std::uint32_t ls = 0; ls < num_local(); ++ls) {
+    const std::uint32_t chunks = std::min(
+        sub_, pool_->num_chunks(span_end(slot, ls) - span_begin(slot, ls),
+                                grain));
+    node_chunks_[ls] = chunks;
+    for (std::uint32_t c = 0; c < chunks; ++c) tasks_.push_back(ls * sub_ + c);
+  }
+  return static_cast<unsigned>(tasks_.size());
 }
 
 void ShardGroup::add_leaf(std::int32_t tree_node, std::int32_t depth,
@@ -143,19 +158,21 @@ bool ShardGroup::apply_split(const SplitInfo& split) {
     // still find work.
     fill_split_sides(split, data_, sides_);
     const BinIndex* col = data_.column(split.field).data();
-    pool_->run_tasks(local * sub_, [&](unsigned task) {
-      const std::uint32_t ls = task / sub_;
+    const unsigned tasks = plan_node_tasks(node.slot, kPartitionGrain);
+    pool_->run_tasks(tasks, [&](unsigned task) {
+      const std::uint32_t idx = tasks_[task];
+      const std::uint32_t ls = idx / sub_;
       Shard& sh = shards_[ls];
-      const auto [b, e] = chunk_range(span_begin(node.slot, ls),
-                                      span_end(node.slot, ls), task % sub_,
-                                      sub_);
-      chunk_lefts_[task] = partition_chunk(sh.arena.data() + b, e - b, col,
-                                           sides_.data(),
-                                           sh.scratch.data() + b);
+      const auto [b, e] =
+          chunk_range(span_begin(node.slot, ls), span_end(node.slot, ls),
+                      idx % sub_, node_chunks_[ls]);
+      chunk_lefts_[idx] = partition_chunk(sh.arena.data() + b, e - b, col,
+                                          sides_.data(),
+                                          sh.scratch.data() + b);
     });
     for (std::uint32_t ls = 0; ls < local; ++ls) {
       std::uint64_t total = 0;
-      for (std::uint32_t c = 0; c < sub_; ++c) {
+      for (std::uint32_t c = 0; c < node_chunks_[ls]; ++c) {
         std::uint64_t& lefts =
             chunk_lefts_[static_cast<std::size_t>(ls) * sub_ + c];
         const std::uint64_t chunk_left = lefts;
@@ -164,12 +181,11 @@ bool ShardGroup::apply_split(const SplitInfo& split) {
       }
       shard_lefts_[ls] = total;
     }
-    // When this group covers the whole partition (the single-rank world /
-    // Trainer delegation path), the realized left total must equal the
-    // split's claimed bucket count -- the cross-shard invariant the
-    // pre-distributed ShardedTrainer asserted. It is checked before pass 2
-    // writes anything outside the scratch. Partial groups cannot check it;
-    // rank 0's merged histogram counts imply the global identity.
+    // When this group covers the whole partition (the single-rank world),
+    // the realized left total must equal the split's claimed bucket count.
+    // It is checked before pass 2 writes anything outside the scratch.
+    // Partial groups cannot check it; rank 0's merged histogram counts
+    // imply the global identity.
     if (shard_begin_ == 0 && shard_end_ == num_shards_) {
       std::uint64_t group_left = 0;
       for (std::uint32_t ls = 0; ls < local; ++ls) {
@@ -179,15 +195,18 @@ bool ShardGroup::apply_split(const SplitInfo& split) {
           group_left == n_left_total,
           "sharded partition disagrees with the split's bucket counts");
     }
-    pool_->run_tasks(local * sub_, [&](unsigned task) {
-      const std::uint32_t ls = task / sub_;
-      const std::uint32_t c = task % sub_;
+    pool_->run_tasks(tasks, [&](unsigned task) {
+      const std::uint32_t idx = tasks_[task];
+      const std::uint32_t ls = idx / sub_;
+      const std::uint32_t c = idx % sub_;
       Shard& sh = shards_[ls];
       const std::uint64_t sb = span_begin(node.slot, ls);
-      const auto [b, e] = chunk_range(sb, span_end(node.slot, ls), c, sub_);
-      const std::uint64_t lefts_before = chunk_lefts_[task];
-      const std::uint64_t lefts_through =
-          c + 1 < sub_ ? chunk_lefts_[task + 1] : shard_lefts_[ls];
+      const auto [b, e] =
+          chunk_range(sb, span_end(node.slot, ls), c, node_chunks_[ls]);
+      const std::uint64_t lefts_before = chunk_lefts_[idx];
+      const std::uint64_t lefts_through = c + 1 < node_chunks_[ls]
+                                              ? chunk_lefts_[idx + 1]
+                                              : shard_lefts_[ls];
       place_partitioned_chunk(
           sh.scratch.data() + b, e - b, lefts_through - lefts_before,
           sh.arena.data() + sb + lefts_before,
@@ -242,23 +261,27 @@ void ShardGroup::build_pending() {
   BOOSTER_CHECK_MSG(pending_valid_, "no pending histogram build");
   BOOSTER_CHECK_MSG(!built_valid_, "previous build not yet released");
   const std::uint32_t local = num_local();
+  const unsigned tasks = plan_node_tasks(pending_.slot, kHistogramGrain);
   // Acquire every buffer on the driving thread: the per-shard pools are
   // not thread-safe, and pre-acquisition keeps the fan-out allocation-free
-  // once the pools are warm.
+  // once the pools are warm. A shard with an empty span keeps its cleared
+  // histogram.
   for (std::uint32_t ls = 0; ls < local; ++ls) {
     Shard& sh = shards_[ls];
     sh.built = sh.pool.acquire();
     while (sh.partials.size() + 1 < sub_) sh.partials.push_back(Histogram{});
-    for (std::uint32_t c = 0; c + 1 < sub_; ++c) {
+    for (std::uint32_t c = 0; c + 1 < node_chunks_[ls]; ++c) {
       sh.partials[c] = sh.pool.acquire();
     }
   }
-  pool_->run_tasks(local * sub_, [&](unsigned task) {
-    const std::uint32_t ls = task / sub_;
-    const std::uint32_t c = task % sub_;
+  pool_->run_tasks(tasks, [&](unsigned task) {
+    const std::uint32_t idx = tasks_[task];
+    const std::uint32_t ls = idx / sub_;
+    const std::uint32_t c = idx % sub_;
     Shard& sh = shards_[ls];
     const auto [b, e] = chunk_range(span_begin(pending_.slot, ls),
-                                    span_end(pending_.slot, ls), c, sub_);
+                                    span_end(pending_.slot, ls), c,
+                                    node_chunks_[ls]);
     Histogram& h = c == 0 ? sh.built : sh.partials[c - 1];
     h.build(data_,
             std::span<const std::uint32_t>(sh.arena.data() + b, e - b),
@@ -268,7 +291,7 @@ void ShardGroup::build_pending() {
   // per-shard result is bit-identical to a serial whole-span build.
   for (std::uint32_t ls = 0; ls < local; ++ls) {
     Shard& sh = shards_[ls];
-    for (std::uint32_t c = 0; c + 1 < sub_; ++c) {
+    for (std::uint32_t c = 0; c + 1 < node_chunks_[ls]; ++c) {
       sh.built.add(sh.partials[c]);
       sh.pool.release(std::move(sh.partials[c]));
       ++internal_merges_;
@@ -278,7 +301,7 @@ void ShardGroup::build_pending() {
   built_valid_ = true;
 }
 
-const Histogram& ShardGroup::built_histogram(std::uint32_t local_shard) const {
+Histogram& ShardGroup::built_histogram(std::uint32_t local_shard) {
   BOOSTER_CHECK(built_valid_ && local_shard < num_local());
   return shards_[local_shard].built;
 }

@@ -1,24 +1,29 @@
-// The per-shard half of sharded and distributed GBDT training: a
-// ShardGroup owns a contiguous range of the global shard partition (its
-// rows, gradient state, per-shard histogram pools, row arenas and
-// partition scratch) and replays the tree-growth decision stream against
-// it -- per-shard histogram build, stable in-place partition (the step-3
-// kernel of hotpath.h), and step 5 from the leaf spans the partitions
-// leave in the arenas. Both engines drive the same class:
-//   * gbdt::ShardedTrainer / single-rank gbdt::DistributedTrainer: one
-//     group covering every shard, driven inline;
-//   * multi-rank gbdt::DistributedTrainer: one group per rank, remote
-//     groups driven by the broadcast split decisions, their histograms
-//     merged on rank 0 (plus freshly constructed groups when rank 0
-//     adopts a dead worker's shards and replays the decision log).
+// The per-shard half of GBDT training: a ShardGroup owns a contiguous
+// range of the global shard partition (its rows, gradient state,
+// per-shard histogram pools, row arenas and partition scratch) and replays
+// the tree-growth decision stream against it -- per-shard histogram
+// build, stable in-place partition (the step-3 kernel of hotpath.h), and
+// step 5 from the leaf spans the partitions leave in the arenas. Every
+// training run drives this class through gbdt::DistributedTrainer's
+// rank-0 driver:
+//   * gbdt::Trainer (the single-rank world): one group covering every
+//     shard, driven inline;
+//   * multi-rank worlds: one group per rank, remote groups driven by the
+//     broadcast split decisions, their histograms merged on rank 0 (plus
+//     freshly constructed groups when rank 0 adopts a dead worker's shards
+//     and replays the decision log).
 //
 // Every group-side operation is sub-chunked over the shared thread pool:
 // each shard's rows are processed in up to ceil(threads / local_shards)
-// contiguous chunks, so surplus threads stop idling when threads > shards
-// (the ROADMAP scheduling follow-on). Chunk partials merge in chunk order;
-// quantized-exact accumulation (gbdt::quantize_stat) makes every regrouping
-// bit-identical, which is why sub-chunking -- and the cross-process
-// distribution built on the same property -- never changes a trained bit.
+// contiguous chunks, so surplus threads stop idling when threads > shards.
+// A node's build and partition size their chunks from the node's span in
+// each shard with the rule build_histogram_parallel and partition_to apply
+// to a whole node (ThreadPool::num_chunks over kHistogramGrain /
+// kPartitionGrain rows), so small nodes stay one task per shard. Chunk
+// partials merge in chunk order; quantized-exact accumulation
+// (gbdt::quantize_stat) makes every regrouping bit-identical, which is why
+// sub-chunking -- and the cross-process distribution built on the same
+// property -- never changes a trained bit.
 #pragma once
 
 #include <cstdint>
@@ -62,7 +67,9 @@ class ShardGroup {
   std::uint32_t shard_begin() const { return shard_begin_; }
   std::uint32_t shard_end() const { return shard_end_; }
   std::uint32_t num_local() const { return shard_end_ - shard_begin_; }
-  /// Sub-chunks per shard task: ceil(threads / local shards), >= 1.
+  /// Most sub-chunks a shard task is split into: ceil(threads / local
+  /// shards), >= 1. Per-node builds and partitions use fewer when the
+  /// node's span is small (see the header comment).
   std::uint32_t sub_chunks() const { return sub_; }
 
   /// Resets prediction/gradient state for the owned rows to the ensemble
@@ -94,10 +101,11 @@ class ShardGroup {
 
   /// Builds the pending node's per-shard histograms (sub-chunked; chunk
   /// partials merged in chunk order). Histograms stay valid until
-  /// release_built().
+  /// release_built(); the caller may swap in another buffer of the same
+  /// shape, which release_built() then returns to the shard's pool.
   void build_pending();
   bool has_pending_build() const { return pending_valid_; }
-  const Histogram& built_histogram(std::uint32_t local_shard) const;
+  Histogram& built_histogram(std::uint32_t local_shard);
   void release_built();
 
   /// Step 5 for the owned rows of the tree this group just grew (the
@@ -163,6 +171,11 @@ class ShardGroup {
     return span_bounds_[static_cast<std::size_t>(slot) * 2 * num_local() +
                         2 * ls + 1];
   }
+  /// Lays out the (shard, chunk) task grid of the node in `slot`: local
+  /// shard ls gets min(sub_, pool num_chunks(span rows, grain)) chunks in
+  /// node_chunks_[ls] (0 for an empty span), and tasks_ lists the grid's
+  /// tasks as ls * sub_ + c. Returns the task count.
+  unsigned plan_node_tasks(std::uint32_t slot, std::uint64_t grain);
   /// Sub-chunk [c_begin, c_end) of range [begin, end).
   static std::pair<std::uint64_t, std::uint64_t> chunk_range(
       std::uint64_t begin, std::uint64_t end, std::uint32_t c,
@@ -208,6 +221,9 @@ class ShardGroup {
   bool pending_valid_ = false;
   bool built_valid_ = false;
 
+  /// The current node's task grid (plan_node_tasks).
+  std::vector<std::uint32_t> node_chunks_;
+  std::vector<std::uint32_t> tasks_;
   /// Scratch for the two-pass sub-chunked partition: the split's side
   /// table, per (shard, chunk) left counts (turned into per-shard
   /// exclusive prefixes between the passes) with per-shard totals, and per

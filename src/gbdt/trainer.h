@@ -1,7 +1,10 @@
 // The GB training loop (paper Table I, steps 1-6), instrumented to emit a
-// StepTrace. The trainer is purely functional -- performance models never
-// change its numerics -- and implements the optimizations the paper bakes
-// into its software baseline:
+// StepTrace. Trainer is the single-rank world of the shard engine
+// (gbdt::DistributedTrainer driving one gbdt::ShardGroup, distributed.h and
+// shard_ops.h): the same loop rank 0 runs in a multi-process world, with
+// no transport. The trainer is purely functional -- performance models
+// never change its numerics -- and implements the optimizations the paper
+// bakes into its software baseline:
 //   * vertex-by-vertex growth to a maximum depth,
 //   * smaller-child histogram construction with sibling subtraction,
 //   * one-hot categorical handling via per-category bins,
@@ -49,12 +52,10 @@ struct TrainerConfig {
   /// structure, weights, gains, and predictions -- are bit-identical
   /// across thread counts.
   std::uint32_t num_threads = 0;
-  /// Contiguous row shards for sharded training (gbdt::ShardedTrainer in
-  /// sharded.h). 0 or 1 runs the classic single-shard hot path; > 1 makes
-  /// Trainer::train delegate to ShardedTrainer, which partitions records
-  /// into num_shards contiguous ranges, builds per-shard histograms, and
-  /// merges them with Histogram::add in fixed shard order. Output is
-  /// bit-identical to the single-shard path at every shard count.
+  /// Contiguous row shards (0 counts as 1; clamped to the record count).
+  /// The engine partitions records into num_shards contiguous ranges,
+  /// builds per-shard histograms, and merges them with Histogram::add in
+  /// fixed shard order. Output is bit-identical at every shard count.
   std::uint32_t num_shards = 1;
   /// Warm start: continue boosting from this ensemble instead of from
   /// scratch. The base score and loss come from the init model (the
@@ -75,20 +76,20 @@ struct TreeStats {
   double train_loss = 0.0;  // mean loss after adding this tree
 };
 
-/// Per-shard slice of the hot-path diagnostics (sharded training only).
-/// Each shard owns its row range, histogram pool, row arena and partition
-/// scratch, so the steady-state allocation-free property holds *per
-/// shard*: every shard's histogram_allocations goes flat once its pool is
-/// warm.
+/// Per-shard slice of the hot-path diagnostics. Each shard owns its row
+/// range, histogram pool, row arena and partition scratch, so the
+/// steady-state allocation-free property holds *per shard*: every shard's
+/// histogram_allocations goes flat once its pool is warm.
 struct ShardHotPathStats {
   std::uint64_t rows = 0;  // records owned by this shard
   std::uint64_t histogram_allocations = 0;
   std::uint64_t histogram_acquires = 0;
   std::uint64_t arena_bytes = 0;
-  /// Sub-chunks each of this shard's tasks (build, partition, step 5)
+  /// Most sub-chunks each of this shard's tasks (build, partition, step 5)
   /// was split into: ceil(threads / shards), so threads > shards no longer
-  /// idles the surplus (1 = whole-shard tasks). Any chunking merges to the
-  /// same bits -- see gbdt::quantize_stat.
+  /// idles the surplus (1 = whole-shard tasks). A node's build and
+  /// partition use fewer when its span is small (ShardGroup). Any chunking
+  /// merges to the same bits -- see gbdt::quantize_stat.
   std::uint32_t sub_chunks = 1;
 };
 
@@ -104,21 +105,25 @@ struct HotPathStats {
   /// / "avx512" -- util::simd::level_name of the active level). Provenance
   /// only: outputs are bit-identical across levels.
   const char* simd = "scalar";
-  /// Row shards the run was partitioned into (1 = classic hot path).
+  /// Row shards the run was partitioned into.
   std::uint32_t shards = 1;
   /// Fresh histogram buffer constructions (pool misses) over the whole run,
-  /// summed over every pool (merged-histogram pool + per-shard pools).
+  /// summed over every pool (merged-histogram pools + per-shard pools).
   std::uint64_t histogram_allocations = 0;
   /// Node histograms requested (root + one per smaller child + parallel
   /// partials). Grows with trees while histogram_allocations stays flat.
   std::uint64_t histogram_acquires = 0;
-  /// Per-shard Histogram::add merges into node histograms (one per shard
-  /// per merged node; 0 on the single-shard path). This is the operation
-  /// whose operand crosses the transport in distributed training, so
-  /// merges x encoded-histogram-bytes is the wire traffic of a run.
+  /// Per-shard merges into node histograms (Histogram::add, or a buffer
+  /// swap when the node has a single source): one per shard per built
+  /// node, so a default one-shard run counts one per built node. This is
+  /// the operation whose operand crosses the transport in distributed
+  /// training, so merges x encoded-histogram-bytes is the wire traffic of
+  /// a run.
   std::uint64_t histogram_merges = 0;
-  /// Intra-shard chunk-partial merges from sub-chunking (threads >
-  /// shards); local reductions that never cross a transport.
+  /// Intra-shard chunk-partial merges of the parallel histogram build (a
+  /// node's span in a shard split into several chunks); local reductions
+  /// that never cross a transport. 0 when sub_chunks is 1 or no node has
+  /// 2 x kHistogramGrain rows in any shard.
   std::uint64_t chunk_merges = 0;
   /// Bytes of the persistent row-index arena and partition scratch plus
   /// the step-5 per-record leaf-delta scratch (all shards).
@@ -126,7 +131,7 @@ struct HotPathStats {
   /// Bytes of the dataset's redundant row-major bin matrix -- the memory
   /// the layout change trades for the single-pass histogram kernel.
   std::uint64_t row_major_matrix_bytes = 0;
-  /// One entry per shard when sharded training ran; empty otherwise.
+  /// One entry per shard this rank executed (one for a default run).
   std::vector<ShardHotPathStats> per_shard{};
 };
 
@@ -160,7 +165,7 @@ class Trainer {
 };
 
 namespace detail {
-/// Fills the workload metadata block shared by Trainer and ShardedTrainer
+/// Fills the workload metadata block every rank of the engine reports
 /// (field/bin shape, ensemble shape, realized leaf depth).
 void fill_workload_info(const BinnedDataset& data, const TrainerConfig& cfg,
                         const TrainResult& result, trace::WorkloadInfo* info);

@@ -143,9 +143,9 @@ std::vector<ScenarioSpec> make_builtin() {
   {
     // Scale-out DSE: a 50M-record nominal workload (the class the paper
     // sizes Booster against) swept over training shard counts. The
-    // functional sample itself trains through gbdt::ShardedTrainer
-    // (runner.shards = 4) -- sharded output is bit-identical to the
-    // single-shard trainer, so only the perf models' scale-out projection
+    // functional sample itself trains on 4 shards (runner.shards = 4) --
+    // output is bit-identical at every shard count, so only the perf
+    // models' scale-out projection
     // varies across the sweep: per-shard record bandwidth shrinks the
     // step work while per-event histogram-merge traffic grows with S.
     auto s = base("dse_shard_sweep",

@@ -167,9 +167,9 @@ struct ScenarioSpec {
   std::uint32_t max_depth = 6;
   std::uint64_t seed = 42;
   /// Row shards for the *functional* training runs (TrainerConfig
-  /// num_shards -> gbdt::ShardedTrainer). Sharded output is bit-identical
-  /// to unsharded, so this exercises the sharded engine in the pipeline
-  /// without perturbing any downstream number. Distinct from the "shards"
+  /// num_shards). Output is bit-identical at every shard count, so this
+  /// exercises the shard merge in the pipeline without perturbing any
+  /// downstream number. Distinct from the "shards"
   /// sweep axis, which varies the perf model's scale-out projection.
   std::uint32_t shards = 1;
   /// Ranks for the functional training runs: > 1 trains through

@@ -25,9 +25,9 @@ struct RunnerConfig {
   std::uint32_t nominal_trees = 500;
   std::uint32_t max_depth = 6;
   std::uint64_t seed = 42;
-  /// Row shards for functional training (gbdt::ShardedTrainer via
-  /// TrainerConfig::num_shards). Sharded output is bit-identical to the
-  /// single-shard hot path, so raising this never changes results.
+  /// Row shards for functional training (TrainerConfig::num_shards).
+  /// Output is bit-identical at every shard count, so raising this never
+  /// changes results.
   std::uint32_t num_shards = 1;
   /// Ranks for *cross-process* functional training: > 1 runs an
   /// in-process world of `procs` rank threads through

@@ -19,7 +19,6 @@
 
 #include "gbdt/binning.h"
 #include "gbdt/distributed.h"
-#include "gbdt/sharded.h"
 #include "gbdt/trainer.h"
 #include "ipc/world.h"
 #include "trace/step_trace.h"
@@ -282,23 +281,6 @@ TEST(DistributedEquivalence, WarmStartMatchesTrainerOnEveryRank) {
     expect_results_bit_identical(out.completed[w], ref, data,
                                  "warm start tcp worker " + std::to_string(w));
   }
-}
-
-TEST(DistributedEquivalence, ShardedTrainerDelegatesToSingleRankWorld) {
-  const auto data = random_binned(1501, 53);
-  const auto ref = Trainer(base_config(3)).train(data);
-  TrainerConfig cfg = base_config(3);
-  cfg.num_shards = 3;
-  const auto sharded = ShardedTrainer(cfg).train(data);
-  expect_results_bit_identical(sharded, ref, data, "sharded 3");
-
-  DistributedConfig dcfg;
-  dcfg.trainer = cfg;
-  DistributedTrainer solo(dcfg, nullptr);
-  const auto got = solo.train(data);
-  expect_results_bit_identical(got, sharded, data, "single-rank world");
-  EXPECT_EQ(solo.stats().world_size, 1u);
-  EXPECT_EQ(solo.stats().shards_local, 3u);
 }
 
 }  // namespace

@@ -4,10 +4,10 @@
 // worker death -- and proves the result is *still* bit-identical to the
 // in-process gbdt::Trainer (EXPECT_EQ, no tolerances): the retry protocol
 // may resend, re-request, and re-execute, but it may never change a bit.
-// A dead worker with shard adoption disabled is unrecoverable and must
-// fail loudly -- a death test pins the abort -- because the one
-// unacceptable outcome is silent divergence. A worker cut off from its
-// coordinator is not: it returns, flagged as orphaned, without aborting.
+// Even a total blackout converges: rank 0 re-executes every unreachable
+// worker's shards, because the one unacceptable outcome is silent
+// divergence. A worker cut off from its coordinator returns, flagged as
+// orphaned, without aborting.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -282,27 +282,29 @@ TEST_F(DistributedFaults, AdoptsShardsOfAWorkerDyingMidTraining) {
   EXPECT_EQ(stats0.shards_local + stats0.shards_adopted, 4u);
 }
 
-TEST_F(DistributedFaults, UnrecoverableBlackoutFailsLoudly) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  // Total blackout with shard adoption disabled: nothing can converge,
-  // and the run must abort with a diagnostic -- never return a silently
-  // divergent model.
-  ASSERT_DEATH(
-      {
-        const auto data = random_binned(501, 73);
-        DistributedConfig cfg;
-        cfg.trainer = base_config(1);
-        cfg.trainer.num_shards = 2;
-        cfg.channel.recv_timeout = std::chrono::milliseconds(2);
-        cfg.channel.max_attempts = 2;
-        cfg.adopt_dead_workers = false;
-        ipc::FaultConfig blackout;
-        blackout.drop = 1.0;
-        ipc::InProcessWorld world(ipc::TransportKind::kLoopback, 2, blackout,
-                                  9);
-        (void)train_in_process(cfg, world, data);
-      },
-      "declared dead");
+TEST_F(DistributedFaults, TotalBlackoutAdoptsTheWorkerAndOrphansIt) {
+  // Total blackout: every frame in both directions is dropped. Rank 0
+  // declares the worker dead, re-executes its shard locally and still
+  // returns the in-process model; the worker never hears from its
+  // coordinator and returns orphaned instead of aborting.
+  const auto data = random_binned(501, 73);
+  DistributedConfig cfg;
+  cfg.trainer = base_config(1);
+  cfg.trainer.num_shards = 2;
+  cfg.channel.recv_timeout = std::chrono::milliseconds(2);
+  cfg.channel.max_attempts = 2;
+  ipc::FaultConfig blackout;
+  blackout.drop = 1.0;
+  ipc::InProcessWorld world(ipc::TransportKind::kLoopback, 2, blackout, 9);
+  std::vector<DistributedStats> stats;
+  const auto got =
+      train_in_process(cfg, world, data, nullptr, nullptr, nullptr, &stats);
+  expect_bit_identical(got, Trainer(cfg.trainer).train(data), data,
+                       "total blackout");
+  ASSERT_EQ(stats.size(), 2u);
+  EXPECT_EQ(stats[0].dead_workers, 1u);
+  EXPECT_EQ(stats[0].shards_local + stats[0].shards_adopted, 2u);
+  EXPECT_EQ(stats[1].orphaned, 1u);
 }
 
 TEST_F(DistributedFaults, WorkerWithoutCoordinatorReturnsOrphaned) {

@@ -205,7 +205,7 @@ TEST(HistogramMerge, QuantizeStatIsIdempotentOnTheGrid) {
 }
 
 TEST(HistogramMerge, ExactUnderAnyContiguousShardSplit) {
-  // The ShardedTrainer contract: per-shard histograms over contiguous row
+  // The shard-merge contract: per-shard histograms over contiguous row
   // ranges, merged with Histogram::add in shard order, are bit-identical
   // to one build over all rows -- for every shard count, including uneven
   // splits (n = 997 is prime).

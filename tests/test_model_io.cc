@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <fstream>
 #include <optional>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "gbdt/metrics.h"
 #include "gbdt/trainer.h"
@@ -215,6 +220,45 @@ TEST(ModelIoChecked, FileRoundTripAndDistinctFailureModes) {
   EXPECT_STREQ(model_file_status_name(ModelFileStatus::kOk), "ok");
   EXPECT_STREQ(model_file_status_name(ModelFileStatus::kBadChecksum),
                "bad-checksum");
+}
+
+TEST(ModelIoChecked, OverwriteReplacesTheFileInsteadOfRewritingIt) {
+  // A reader that opened the old file before an overwrite must still read
+  // the old model intact: the save writes a sibling temp file and renames
+  // it over the target instead of truncating the target in place (where a
+  // crash mid-write would leave no loadable model). No temp file may be
+  // left behind.
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("booster_test_atomic_save." + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(std::filesystem::create_directories(dir));
+  const std::string path = (dir / "model.bin").string();
+
+  const auto old_model = train_small("squared", 2);
+  const auto new_model = train_small("squared", 4);
+  ASSERT_TRUE(save_model_checked_file(old_model.model, path));
+  std::ifstream old_reader(path, std::ios::binary);
+  ASSERT_TRUE(old_reader.is_open());
+  ASSERT_TRUE(save_model_checked_file(new_model.model, path));
+
+  std::optional<Model> from_old_reader;
+  ASSERT_EQ(load_model_checked(old_reader, &from_old_reader),
+            ModelFileStatus::kOk);
+  EXPECT_EQ(from_old_reader->num_trees(), 2u);
+  for (std::uint64_t r = 0; r < old_model.data.num_records(); r += 7) {
+    EXPECT_EQ(from_old_reader->predict(old_model.data, r),
+              old_model.model.predict(old_model.data, r));
+  }
+  std::optional<Model> from_path;
+  ASSERT_EQ(load_model_checked_file(path, &from_path), ModelFileStatus::kOk);
+  EXPECT_EQ(from_path->num_trees(), 4u);
+
+  std::vector<std::string> entries;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    entries.push_back(entry.path().filename().string());
+  }
+  EXPECT_EQ(entries, std::vector<std::string>{"model.bin"});
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
-// Sharded-training equivalence layer (ISSUE 4 acceptance): ShardedTrainer
-// must produce *bit-identical* output to the single-shard Trainer at every
-// tested (shards, threads) combination -- tree structure, split decisions,
-// leaf weights, gains, raw predictions, and per-tree training losses all
-// compare with EXPECT_EQ, no tolerances. The guarantee rests on two
+// Sharded-training equivalence layer: Trainer must produce *bit-identical*
+// output at every tested (shards, threads) combination to the one-shard,
+// one-thread run -- tree structure, split decisions, leaf weights, gains,
+// raw predictions, and per-tree training losses all compare with
+// EXPECT_EQ, no tolerances. The guarantee rests on two
 // properties this file also exercises end to end:
 //   * quantized-exact histogram accumulation (gbdt::quantize_stat) makes
 //     the per-shard Histogram::add merge order-insensitive, and
@@ -16,7 +16,8 @@
 #include <vector>
 
 #include "gbdt/binning.h"
-#include "gbdt/sharded.h"
+#include "gbdt/hotpath.h"
+#include "gbdt/shard_ops.h"
 #include "gbdt/trainer.h"
 #include "trace/step_trace.h"
 #include "workloads/synth.h"
@@ -118,7 +119,7 @@ TEST(ShardedEquivalence, BitIdenticalAcrossShardAndThreadCounts) {
       TrainerConfig cfg = base_config();
       cfg.num_shards = shards;
       cfg.num_threads = threads;
-      const auto got = ShardedTrainer(cfg).train(data);
+      const auto got = Trainer(cfg).train(data);
       const std::string context =
           std::to_string(shards) + " shards / " + std::to_string(threads) +
           " threads";
@@ -129,24 +130,11 @@ TEST(ShardedEquivalence, BitIdenticalAcrossShardAndThreadCounts) {
       std::uint64_t rows = 0;
       for (const auto& ss : got.hot_path.per_shard) rows += ss.rows;
       EXPECT_EQ(rows, data.num_records()) << context;
-      // K merge adds per merged node histogram, none on the single path.
+      // K merge adds per merged node histogram.
       EXPECT_EQ(got.hot_path.histogram_merges % shards, 0u) << context;
       EXPECT_GT(got.hot_path.histogram_merges, 0u) << context;
     }
   }
-}
-
-TEST(ShardedEquivalence, TrainerDelegatesWhenNumShardsExceedsOne) {
-  const auto data = random_binned(4000, 23);
-  const auto ref = Trainer(base_config()).train(data);
-
-  TrainerConfig cfg = base_config();
-  cfg.num_shards = 3;
-  cfg.num_threads = 2;
-  const auto via_trainer = Trainer(cfg).train(data);
-  expect_results_bit_identical(via_trainer, ref, data, "delegated 3 shards");
-  EXPECT_EQ(via_trainer.hot_path.shards, 3u);
-  ASSERT_EQ(via_trainer.hot_path.per_shard.size(), 3u);
 }
 
 TEST(ShardedEquivalence, EmittedTracesIdenticalToSingleShard) {
@@ -161,7 +149,7 @@ TEST(ShardedEquivalence, EmittedTracesIdenticalToSingleShard) {
   cfg.num_shards = 4;
   trace::StepTrace trace;
   trace::WorkloadInfo info;
-  const auto got = ShardedTrainer(cfg).train(data, &trace, &info);
+  const auto got = Trainer(cfg).train(data, &trace, &info);
   expect_results_bit_identical(got, ref, data, "traced 4 shards");
 
   ASSERT_EQ(trace.events().size(), ref_trace.events().size());
@@ -194,7 +182,7 @@ TEST(ShardedEquivalence, LevelByLevelGrowthAlsoBitIdentical) {
   TrainerConfig scfg = cfg;
   scfg.num_shards = 2;
   trace::StepTrace trace;
-  const auto got = ShardedTrainer(scfg).train(data, &trace);
+  const auto got = Trainer(scfg).train(data, &trace);
   expect_results_bit_identical(got, ref, data, "level-by-level 2 shards");
   ASSERT_EQ(trace.events().size(), ref_trace.events().size());
 }
@@ -210,7 +198,7 @@ TEST(ShardedEquivalence, EarlyStoppingDecisionsIdentical) {
 
   TrainerConfig scfg = cfg;
   scfg.num_shards = 4;
-  const auto got = ShardedTrainer(scfg).train(data);
+  const auto got = Trainer(scfg).train(data);
   EXPECT_EQ(got.early_stopped, ref.early_stopped);
   ASSERT_EQ(got.model.num_trees(), ref.model.num_trees());
   expect_results_bit_identical(got, ref, data, "early stopping 4 shards");
@@ -221,9 +209,9 @@ TEST(ShardedEquivalence, SteadyStateIsAllocationFreePerShard) {
   for (const std::uint32_t shards : {2u, 3u}) {
     TrainerConfig cfg = base_config(/*trees=*/3);
     cfg.num_shards = shards;
-    const auto short_run = ShardedTrainer(cfg).train(data);
+    const auto short_run = Trainer(cfg).train(data);
     cfg.num_trees = 12;
-    const auto long_run = ShardedTrainer(cfg).train(data);
+    const auto long_run = Trainer(cfg).train(data);
 
     // More trees request more node histograms and more merges...
     EXPECT_GT(long_run.hot_path.histogram_acquires,
@@ -265,7 +253,7 @@ TEST(ShardedEquivalence, SubChunkingKeepsSurplusThreadsBusyBitIdentically) {
   TrainerConfig cfg = base_config();
   cfg.num_shards = 2;
   cfg.num_threads = 8;
-  const auto got = ShardedTrainer(cfg).train(data);
+  const auto got = Trainer(cfg).train(data);
   expect_results_bit_identical(got, ref, data, "K=2 T=8 sub-chunked");
   ASSERT_EQ(got.hot_path.per_shard.size(), 2u);
   for (const auto& ss : got.hot_path.per_shard) {
@@ -280,7 +268,7 @@ TEST(ShardedEquivalence, SubChunkingKeepsSurplusThreadsBusyBitIdentically) {
   TrainerConfig flat = base_config();
   flat.num_shards = 8;
   flat.num_threads = 8;
-  const auto even = ShardedTrainer(flat).train(data);
+  const auto even = Trainer(flat).train(data);
   expect_results_bit_identical(even, ref, data, "K=8 T=8 whole-shard");
   for (const auto& ss : even.hot_path.per_shard) {
     EXPECT_EQ(ss.sub_chunks, 1u);
@@ -294,9 +282,9 @@ TEST(ShardedEquivalence, SubChunkedRunsStayAllocationFreePerShard) {
   TrainerConfig cfg = base_config(/*trees=*/3);
   cfg.num_shards = 2;
   cfg.num_threads = 8;
-  const auto short_run = ShardedTrainer(cfg).train(data);
+  const auto short_run = Trainer(cfg).train(data);
   cfg.num_trees = 12;
-  const auto long_run = ShardedTrainer(cfg).train(data);
+  const auto long_run = Trainer(cfg).train(data);
   EXPECT_GT(long_run.hot_path.histogram_acquires,
             short_run.hot_path.histogram_acquires);
   EXPECT_EQ(long_run.hot_path.histogram_allocations,
@@ -309,12 +297,30 @@ TEST(ShardedEquivalence, SubChunkedRunsStayAllocationFreePerShard) {
   }
 }
 
+TEST(ShardedEquivalence, NodesBelowTheGrainStayOneChunkPerShard) {
+  // Every node of a run on fewer than kHistogramGrain rows is below the
+  // parallel build's grain, so a 4-thread run must build each node in one
+  // chunk per shard -- no chunk partials to merge -- exactly as the
+  // 1-thread run does, and to the same bits.
+  const auto data = random_binned(kHistogramGrain - 1, 71);
+  const auto ref = Trainer(base_config()).train(data);
+  TrainerConfig cfg = base_config();
+  cfg.num_threads = 4;
+  const auto got = Trainer(cfg).train(data);
+  expect_results_bit_identical(got, ref, data, "sub-grain nodes, 4 threads");
+  EXPECT_EQ(got.hot_path.threads, 4u);
+  EXPECT_EQ(got.hot_path.chunk_merges, 0u);
+  ASSERT_EQ(got.hot_path.per_shard.size(), 1u);
+  EXPECT_EQ(got.hot_path.per_shard[0].sub_chunks, 4u);
+  EXPECT_GT(got.hot_path.histogram_merges, 0u);
+}
+
 TEST(ShardedEquivalence, MoreShardsThanRecordsClamps) {
   const auto data = random_binned(11, 59);
   TrainerConfig cfg = base_config(2);
   cfg.num_shards = 64;
   cfg.min_node_records = 2;
-  const auto got = ShardedTrainer(cfg).train(data);
+  const auto got = Trainer(cfg).train(data);
   EXPECT_EQ(got.hot_path.shards, 11u);
   const auto ref = Trainer(base_config(2)).train(data);
   expect_results_bit_identical(got, ref, data, "clamped shards");
@@ -326,7 +332,7 @@ TEST(ShardedEquivalence, ZeroTreesStillReportEveryShard) {
   const auto data = random_binned(1501, 61);
   TrainerConfig cfg = base_config(0);
   cfg.num_shards = 3;
-  const auto got = ShardedTrainer(cfg).train(data);
+  const auto got = Trainer(cfg).train(data);
   EXPECT_EQ(got.hot_path.shards, 3u);
   EXPECT_EQ(got.hot_path.per_shard.size(), 3u);
   const auto ref = Trainer(base_config(0)).train(data);
