@@ -18,9 +18,11 @@
 #include "gbdt/split.h"
 #include "gbdt/trainer.h"
 #include "memsim/memory_system.h"
+#include "util/rng.h"
 #include "util/simd.h"
 #include "util/thread_pool.h"
 #include "workloads/runner.h"
+#include "workloads/spec.h"
 #include "workloads/synth.h"
 
 namespace {
@@ -258,24 +260,49 @@ void BM_SimdQuantizeGather(benchmark::State& state) {
 }
 BENCHMARK(BM_SimdQuantizeGather)->ArgName("level")->Arg(0)->Arg(1)->Arg(2);
 
+/// The train-fraud table's shape (10 fields, ~1.8k bins, heavy
+/// categoricals) at its ~500k rows: the build kernel's node sizes match a
+/// training job's root (all rows) and its large and small children.
+const gbdt::BinnedDataset& fraud_sample() {
+  static const gbdt::BinnedDataset data = [] {
+    constexpr std::uint64_t kRows = 500'000;
+    return gbdt::Binner().bin(
+        workloads::synthesize(workloads::fraud_spec(kRows), kRows, 7));
+  }();
+  return data;
+}
+
+/// A sorted subset of about `percent`% of [0, n): the row span a
+/// partitioned node hands the build kernel (ascending, with gaps).
+std::vector<std::uint32_t> node_rows(std::uint64_t n, std::int64_t percent) {
+  const auto keep = static_cast<std::uint64_t>(percent);
+  util::Rng rng(keep);
+  std::vector<std::uint32_t> rows;
+  for (std::uint32_t r = 0; r < n; ++r) {
+    if (keep >= 100 || rng.next_below(100) < keep) rows.push_back(r);
+  }
+  return rows;
+}
+
 void BM_SimdHistogramBuild(benchmark::State& state) {
   util::simd::Level lv;
   if (!simd_leg_level(state, &lv)) return;
   const util::simd::ScopedLevelForTesting scoped(lv);
-  const auto& w = higgs_sample();
-  const auto grads = unit_gradients(w.binned.num_records());
-  std::vector<std::uint32_t> rows(w.binned.num_records());
-  std::iota(rows.begin(), rows.end(), 0);
-  gbdt::Histogram hist(w.binned);
+  const auto& data = fraud_sample();
+  const auto grads = unit_gradients(data.num_records());
+  const auto rows = node_rows(data.num_records(), state.range(1));
+  gbdt::Histogram hist(data);
   for (auto _ : state) {
     hist.clear();
-    hist.build(w.binned, rows, grads);
+    hist.build(data, rows, grads);
     benchmark::DoNotOptimize(hist.totals());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          rows.size() * w.binned.num_fields());
+                          rows.size() * data.num_fields());
 }
-BENCHMARK(BM_SimdHistogramBuild)->ArgName("level")->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_SimdHistogramBuild)
+    ->ArgNames({"level", "pct"})
+    ->ArgsProduct({{0, 1, 2}, {100, 30, 3}});
 
 /// Serving-shaped sample for the prediction legs: a full-depth 48-tree
 /// ensemble (higgs_sample's 4 trees fit in L1, where blocking is pure

@@ -393,7 +393,8 @@ TrainResult DistributedTrainer::coordinate(const BinnedDataset& data,
                           "unexpected message while gathering shard "
                           "histograms (protocol desync)");
         ipc::ShardHistogramMsg msg;
-        Histogram rx = rx_pool.acquire();
+        // The decode overwrites every bin's count/g/h, so no clear.
+        Histogram rx = rx_pool.take();
         BOOSTER_CHECK_MSG(
             HistogramCodec::decode_shard_histogram_into(frame.payload, &msg,
                                                         &rx),
@@ -406,7 +407,12 @@ TrainResult DistributedTrainer::coordinate(const BinnedDataset& data,
         rx_filled[s] = 1;
       }
     }
-    Histogram merged = merged_pool.acquire();
+    // Shard 0's histogram becomes the merge target by a buffer swap, so
+    // the buffer taken here is never cleared: it goes back to shard 0's
+    // source pool, which clears it once, before its next build or decode
+    // overwrites it. Each pool gets back a buffer of the same shape, so
+    // both stay allocation-free.
+    Histogram merged = merged_pool.take();
     for (std::uint32_t s = 0; s < num_shards; ++s) {
       ShardGroup* g = owner_group(s);
       BOOSTER_CHECK_MSG(g != nullptr || rx_filled[s] != 0,
@@ -414,10 +420,7 @@ TrainResult DistributedTrainer::coordinate(const BinnedDataset& data,
       Histogram& source = g != nullptr
                               ? g->built_histogram(s - g->shard_begin())
                               : rx_by_shard[s];
-      // A single source already is the node histogram: swap buffers
-      // instead of adding it into a cleared one. Each pool gets back a
-      // buffer of the same shape, so both stay allocation-free.
-      if (num_shards == 1) {
+      if (s == 0) {
         std::swap(merged, source);
       } else {
         merged.add(source);

@@ -11,14 +11,18 @@ namespace booster::gbdt {
 
 namespace {
 
-// The SIMD kernels stream BinStats buffers as raw double arrays: exactly
-// the three members, no padding. Every kernel op is elementwise, so
-// count/g/h are all handled uniformly and exactly.
+// The SIMD kernels stream BinStats buffers as raw double arrays of 4-double
+// lanes {count, g, h, pad}: exactly the four members, no padding beyond the
+// pad member, each lane on a 32-byte boundary. Every kernel op is
+// elementwise, so all four members are handled uniformly and exactly.
 static_assert(std::is_standard_layout_v<BinStats> &&
-                  sizeof(BinStats) == 3 * sizeof(double),
-              "BinStats must be three packed doubles for the SIMD kernels");
+                  sizeof(BinStats) == 4 * sizeof(double) &&
+                  alignof(BinStats) == 32,
+              "BinStats must be one 32-byte lane of four doubles");
 static_assert(sizeof(GradientPair) == 2 * sizeof(float),
               "quantize_gather assumes packed {g, h} float pairs");
+static_assert(sizeof(BinIndex) == sizeof(std::uint16_t),
+              "scatter_bins reads the row-major matrix as uint16 bins");
 
 double* flat(Histogram::Buffer& bins) {
   return reinterpret_cast<double*>(bins.data());
@@ -30,8 +34,6 @@ const double* flat(const Histogram::Buffer& bins) {
 /// Rows whose quantized {g, h} are staged per block before the scatter
 /// pass; sized so the staging buffers live comfortably in L1.
 constexpr std::size_t kBuildBlock = 256;
-/// Records of row-major prefetch lead in the scatter pass.
-constexpr std::size_t kBuildPrefetch = 8;
 
 }  // namespace
 
@@ -65,7 +67,7 @@ void Histogram::build(const BinnedDataset& data,
   data.ensure_row_major();  // no-op after the first (pre-fan-out) call
   const BinIndex* row_major = data.row_major_bins();
   const std::size_t num_fields = data.num_fields();
-  BinStats* bins = bins_.data();
+  double* bins = flat(bins_);
   const std::uint32_t* offsets = offsets_.data();
   const auto& ker = util::simd::kernels();
   const float* pairs = reinterpret_cast<const float*>(gradients.data());
@@ -82,42 +84,19 @@ void Histogram::build(const BinnedDataset& data,
     // the header.
     ker.quantize_gather(pairs, row_ptr + base, m, kStatInvQuantum,
                         kStatQuantum, qg, qh);
-    // Stage 2 (scalar scatter): two records in flight with row-major
-    // prefetch ahead. Bin conflicts forbid a vector scatter, but quantized
-    // accumulation is order-insensitive, so interleaving two records'
-    // updates -- even into the same bin -- merges to the same bits.
-    std::size_t j = 0;
-    for (; j + 2 <= m; j += 2) {
-      if (base + j + kBuildPrefetch < total) {
-        __builtin_prefetch(
-            row_major +
-            static_cast<std::size_t>(row_ptr[base + j + kBuildPrefetch]) *
-                num_fields);
-      }
-      const BinIndex* rec0 =
-          row_major +
-          static_cast<std::size_t>(row_ptr[base + j]) * num_fields;
-      const BinIndex* rec1 =
-          row_major +
-          static_cast<std::size_t>(row_ptr[base + j + 1]) * num_fields;
-      const double qg0 = qg[j], qh0 = qh[j];
-      const double qg1 = qg[j + 1], qh1 = qh[j + 1];
-      for (std::size_t f = 0; f < num_fields; ++f) {
-        BOOSTER_DCHECK(offsets[f] + rec0[f] < offsets[f + 1]);
-        BOOSTER_DCHECK(offsets[f] + rec1[f] < offsets[f + 1]);
-        bins[offsets[f] + rec0[f]].add_quantized(qg0, qh0);
-        bins[offsets[f] + rec1[f]].add_quantized(qg1, qh1);
-      }
-    }
-    for (; j < m; ++j) {
+#ifndef NDEBUG
+    for (std::size_t j = 0; j < m; ++j) {
       const BinIndex* record =
-          row_major +
-          static_cast<std::size_t>(row_ptr[base + j]) * num_fields;
+          row_major + static_cast<std::size_t>(row_ptr[base + j]) * num_fields;
       for (std::size_t f = 0; f < num_fields; ++f) {
         BOOSTER_DCHECK(offsets[f] + record[f] < offsets[f + 1]);
-        bins[offsets[f] + record[f]].add_quantized(qg[j], qh[j]);
       }
     }
+#endif
+    // Stage 2: one {1, qg, qh, 0} lane update per record-field -- a single
+    // vector read-modify-write of the bin at the wide levels.
+    ker.scatter_bins(bins, offsets, row_major, num_fields, row_ptr + base, m,
+                     qg, qh);
   }
 }
 
@@ -141,23 +120,23 @@ void Histogram::subtract_from(const Histogram& parent,
   offsets_ = parent.offsets_;
   bins_.resize(parent.bins_.size());
   util::simd::kernels().diff(flat(bins_), flat(parent.bins_),
-                             flat(sibling.bins_), 3 * bins_.size());
+                             flat(sibling.bins_), 4 * bins_.size());
 }
 
 void Histogram::subtract(const Histogram& sibling) {
   BOOSTER_CHECK(same_shape(sibling));
   util::simd::kernels().sub(flat(bins_), flat(sibling.bins_),
-                            3 * bins_.size());
+                            4 * bins_.size());
 }
 
 void Histogram::add(const Histogram& other) {
   BOOSTER_CHECK(same_shape(other));
   util::simd::kernels().add(flat(bins_), flat(other.bins_),
-                            3 * bins_.size());
+                            4 * bins_.size());
 }
 
 void Histogram::clear() {
-  util::simd::kernels().zero(flat(bins_), 3 * bins_.size());
+  util::simd::kernels().zero(flat(bins_), 4 * bins_.size());
 }
 
 BinStats Histogram::totals() const {
@@ -195,6 +174,16 @@ Histogram HistogramPool::acquire() {
     free_.pop_back();
     h.clear();
   }
+  BOOSTER_CHECK_MSG(h.aligned_to(64),
+                    "histogram buffer lost its 64-byte alignment");
+  return h;
+}
+
+Histogram HistogramPool::take() {
+  if (free_.empty()) return acquire();  // a fresh buffer is zeroed anyway
+  ++acquires_;
+  Histogram h = std::move(free_.back());
+  free_.pop_back();
   BOOSTER_CHECK_MSG(h.aligned_to(64),
                     "histogram buffer lost its 64-byte alignment");
   return h;

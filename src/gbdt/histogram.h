@@ -12,6 +12,18 @@
 // row-major bin matrix -- each record touches its F bin bytes contiguously
 // instead of being gathered once per field.
 //
+// Bin layout: every bin is one 32-byte, 32-byte-aligned lane of four
+// doubles {count, g, h, pad}, with pad always +0.0. Booster updates a bin
+// with one read-modify-write of the whole bin entry in its SRAM; the
+// software form of that access is one aligned 256-bit load-add-store of
+// the lane {1, qg, qh, 0} per record-field (util::simd's scatter_bins), in
+// place of three scalar read-modify-writes. The pad lane costs a third
+// more bytes per histogram and buys the single access. Every histogram op
+// (build, add, subtract, clear, the split scan's prefix) treats the four
+// doubles uniformly, so pad stays +0.0 by construction (0 + 0 and 0 - 0
+// are +0.0); the ipc codec writes count, g and h by name and never puts
+// the pad on the wire.
+//
 // Accumulation is *exactly* order-insensitive: every gradient contribution
 // is snapped to a fixed power-of-two quantum before it enters a bin (see
 // quantize_stat), so bin values are always integer multiples of the quantum
@@ -63,24 +75,21 @@ inline double quantize_stat(double x) {
   return std::nearbyint(x * kStatInvQuantum) * kStatQuantum;
 }
 
-/// One histogram bin: record count plus summed gradient statistics. The
-/// g/h fields only ever hold multiples of kStatQuantum (see above), which
-/// is what makes every merge/subtract below exact.
-struct BinStats {
+/// One histogram bin: record count plus summed gradient statistics, padded
+/// to one 32-byte lane (see the bin layout above). The g/h fields only
+/// ever hold multiples of kStatQuantum (see above), which is what makes
+/// every merge/subtract below exact.
+struct alignas(32) BinStats {
   double count = 0.0;
   double g = 0.0;
   double h = 0.0;
-
-  /// Accumulates a pair whose statistics are already on the quantum grid
-  /// (the hot build loop quantizes once per record, not once per field).
-  void add_quantized(double qg, double qh) {
-    count += 1.0;
-    g += qg;
-    h += qh;
-  }
+  /// Always +0.0: fills the lane so a bin update is one vector access.
+  double pad = 0.0;
 
   void add(const GradientPair& gp) {
-    add_quantized(quantize_stat(gp.g), quantize_stat(gp.h));
+    count += 1.0;
+    g += quantize_stat(gp.g);
+    h += quantize_stat(gp.h);
   }
   BinStats& operator+=(const BinStats& o) {
     count += o.count;
@@ -124,7 +133,8 @@ class Histogram {
   /// row-major pass: per record, the F bin indices are read contiguously
   /// from the dataset's packed row-major matrix. This is the exact work
   /// step 1 performs (one bin update per field per record), in the memory
-  /// order the paper's row-major layout prescribes.
+  /// order the paper's row-major layout prescribes, each update one
+  /// read-modify-write of the bin's lane.
   void build(const BinnedDataset& data, std::span<const std::uint32_t> rows,
              std::span<const GradientPair> gradients);
 
@@ -182,8 +192,10 @@ class Histogram {
   }
 
   /// 64-byte-aligned flat buffer: the SIMD add/subtract/clear kernels
-  /// stream bins_ as one contiguous double array, and a cacheline-aligned
-  /// start keeps the widest (AVX-512) accesses from straddling lines.
+  /// stream bins_ as one contiguous double array (4 per bin), a
+  /// cacheline-aligned start keeps the widest (AVX-512) accesses from
+  /// straddling lines, and every bin lane lands on a 32-byte boundary for
+  /// the build's aligned lane updates.
   using Buffer = std::vector<BinStats, util::AlignedAllocator<BinStats, 64>>;
 
  private:
@@ -209,6 +221,12 @@ class HistogramPool {
 
   /// A cleared histogram of the configured shape.
   Histogram acquire();
+
+  /// A histogram of the configured shape whose bins hold whatever the
+  /// buffer's last user left (pad lanes still +0.0), for callers that
+  /// overwrite every bin before reading one: a swap target, a decode
+  /// destination. Saves the clear acquire() would spend on it.
+  Histogram take();
 
   /// Returns a histogram's buffer to the free list. Shape must match.
   void release(Histogram&& h);

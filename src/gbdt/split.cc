@@ -59,20 +59,20 @@ void SplitFinder::scan_numeric(std::uint32_t field,
   // left bucket (paper Fig 3). The last boundary (everything left) is not a
   // split, so we stop one bin early.
   // The left-bucket accumulation runs through the SIMD prefix-sum kernel
-  // over the value bins' {count, g, h} triples (a BinStats is exactly three
-  // contiguous doubles), into a per-thread scratch that warms up once and
-  // then recycles. Wide kernel levels may reassociate the additions, but
-  // every operand is exact on the quantized grid, so the prefixes -- and
-  // therefore every candidate gain -- are bit-identical to this loop's
-  // serial replay in scan_bin_range at every dispatch level.
-  static_assert(sizeof(BinStats) == 3 * sizeof(double),
-                "prefix_sum3 streams BinStats as raw double triples");
+  // over the value bins' {count, g, h, pad} lanes (a BinStats is exactly
+  // four contiguous doubles), into a per-thread scratch that warms up once
+  // and then recycles. Every level adds the lanes in bin order, as this
+  // loop's serial replay in scan_bin_range does, so the prefixes -- and
+  // therefore every candidate gain -- are bit-identical at every dispatch
+  // level.
+  static_assert(sizeof(BinStats) == 4 * sizeof(double),
+                "prefix_sum4 streams BinStats as raw 4-double lanes");
   const BinStats& missing = bins[0];
   if (bins.size() < 3) return;  // no candidate boundary
   const std::size_t candidates = bins.size() - 2;
   static thread_local std::vector<BinStats> prefix;
   if (prefix.size() < candidates) prefix.resize(candidates);
-  util::simd::kernels().prefix_sum3(
+  util::simd::kernels().prefix_sum4(
       reinterpret_cast<const double*>(bins.data() + 1), candidates,
       reinterpret_cast<double*>(prefix.data()));
   for (std::size_t b = 1; b + 1 < bins.size(); ++b) {

@@ -113,9 +113,9 @@ struct HotPathStats {
   /// Node histograms requested (root + one per smaller child + parallel
   /// partials). Grows with trees while histogram_allocations stays flat.
   std::uint64_t histogram_acquires = 0;
-  /// Per-shard merges into node histograms (Histogram::add, or a buffer
-  /// swap when the node has a single source): one per shard per built
-  /// node, so a default one-shard run counts one per built node. This is
+  /// Per-shard merges into node histograms (a buffer swap for shard 0,
+  /// Histogram::add for every other shard): one per shard per built node,
+  /// so a default one-shard run counts one per built node. This is
   /// the operation whose operand crosses the transport in distributed
   /// training, so merges x encoded-histogram-bytes is the wire traffic of
   /// a run.

@@ -13,9 +13,9 @@ namespace {
 #include "util/simd_body.inl"
 
 const Kernels kScalarTable = {
-    Level::kScalar, generic_add,             generic_sub,
-    generic_diff,   generic_zero,            generic_quantize_gather,
-    generic_prefix_sum3,                     generic_traverse_block,
+    Level::kScalar,       generic_add,         generic_sub,
+    generic_diff,         generic_zero,        generic_quantize_gather,
+    generic_scatter_bins, generic_prefix_sum4, generic_traverse_block,
     /*predict_tile=*/4,
 };
 

@@ -93,9 +93,18 @@ inline constexpr std::uint8_t kNodeLeaf = 1;         // node is a leaf
 inline constexpr std::uint8_t kNodeCategorical = 2;  // predicate: bin == thr
 inline constexpr std::uint8_t kNodeDefaultLeft = 4;  // missing goes left
 
-/// One dispatch level's kernel table. All array kernels are elementwise and
-/// alignment-agnostic (the histogram buffers they usually run on are
-/// 64-byte aligned, see util/aligned.h, which the wide paths exploit).
+/// One dispatch level's kernel table. All array kernels except
+/// scatter_bins are elementwise and alignment-agnostic (the histogram
+/// buffers they usually run on are 64-byte aligned, see util/aligned.h,
+/// which the wide paths exploit).
+///
+///   kernel            | used by                      | scalar | wide
+///   ------------------+------------------------------+--------+------------
+///   add/sub/diff/zero | Histogram add/subtract/clear | loop   | 256/512-bit
+///   quantize_gather   | Histogram::build stage 1     | loop   | gather+round
+///   scatter_bins      | Histogram::build stage 2     | 3 adds | 1 lane RMW
+///   prefix_sum4       | SplitFinder::scan_numeric    | 4 sums | 1 lane add
+///   traverse_block    | FlatEnsemble::predict_many   | one shared body
 struct Kernels {
   Level level = Level::kScalar;
 
@@ -119,15 +128,29 @@ struct Kernels {
                           std::size_t n, double inv_quantum, double quantum,
                           double* qg, double* qh);
 
-  /// Inclusive prefix sum over `n` contiguous {count, g, h} triples:
-  /// dst[3i + k] = sum_{j <= i} src[3j + k]. The split scan's left-bucket
-  /// accumulation (gbdt::SplitFinder::scan_numeric) runs through this on a
-  /// histogram field's value bins. Wide paths may reassociate the adds
-  /// across triples; the operands are always exact (integer counts and
-  /// 2^-24-quantum gradient multiples within kStatSumCapacity), so every
-  /// association yields the same bits -- the same argument that makes
-  /// histogram merges order-insensitive.
-  void (*prefix_sum3)(const double* src, std::size_t n, double* dst);
+  /// Histogram bin scatter, step 1's bin updates (stage 2 of
+  /// gbdt::Histogram::build). `bins` holds 4-double lanes {count, g, h,
+  /// pad} and starts on a 32-byte boundary. For i in [0, n) and every
+  /// field f, with bin = row_major[rows[i] * num_fields + f], the lane at
+  /// bins + 4 * (offsets[f] + bin) gets
+  ///   {count, g, h, pad} += {1, qg[i], qh[i], 0}.
+  /// Scalar: three scalar adds per update (pad untouched). Wide: one
+  /// aligned 256-bit load-add-store per update. The additions are the same
+  /// per lane; records that share a bin may update it in another order,
+  /// which is exact on the quantized grid (2^-24-quantum multiples within
+  /// kStatSumCapacity, integer counts) -- the same bits at every level.
+  void (*scatter_bins)(double* bins, const std::uint32_t* offsets,
+                       const std::uint16_t* row_major, std::size_t num_fields,
+                       const std::uint32_t* rows, std::size_t n,
+                       const double* qg, const double* qh);
+
+  /// Inclusive prefix sum over `n` contiguous 4-double bin lanes:
+  /// dst[4i + k] = sum_{j <= i} src[4j + k], added in index order at every
+  /// level (one running 256-bit add per lane at the wide levels), so the
+  /// results are bit-identical for any operands. The split scan's
+  /// left-bucket accumulation (gbdt::SplitFinder::scan_numeric) runs
+  /// through this on a histogram field's value bins.
+  void (*prefix_sum4)(const double* src, std::size_t n, double* dst);
 
   /// Level-synchronous blocked traversal: records [first_record,
   /// first_record + count) advance one tree level per sweep across the

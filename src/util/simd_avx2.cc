@@ -111,23 +111,10 @@ void avx2_quantize_gather(const float* pairs, const std::uint32_t* rows,
                           qg + i, qh + i);
 }
 
-void avx2_prefix_sum3(const double* src, std::size_t n, double* dst) {
-  // One masked 3-lane vector add per triple with a running carry: the
-  // per-component addition order is exactly the scalar loop's
-  // (carry += triple), so this path is bit-identical by construction --
-  // it wins by turning three strided scalar add/store chains into one.
-  const __m256i m3 = _mm256_setr_epi64x(-1, -1, -1, 0);
-  __m256d carry = _mm256_setzero_pd();
-  for (std::size_t i = 0; i < n; ++i) {
-    carry = _mm256_add_pd(carry, _mm256_maskload_pd(src + 3 * i, m3));
-    _mm256_maskstore_pd(dst + 3 * i, m3, carry);
-  }
-}
-
 const Kernels kAvx2Table = {
-    Level::kAvx2, avx2_add,   avx2_sub,
-    avx2_diff,    avx2_zero,  avx2_quantize_gather,
-    avx2_prefix_sum3,         generic_traverse_block,
+    Level::kAvx2,      avx2_add,         avx2_sub,
+    avx2_diff,         avx2_zero,        avx2_quantize_gather,
+    wide_scatter_bins, wide_prefix_sum4, generic_traverse_block,
     /*predict_tile=*/8,
 };
 

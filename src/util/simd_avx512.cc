@@ -104,36 +104,10 @@ void avx512_quantize_gather(const float* pairs, const std::uint32_t* rows,
                           qg + i, qh + i);
 }
 
-void avx512_prefix_sum3(const double* src, std::size_t n, double* dst) {
-  // Two triples per iteration: lanes 0-2 carry triple a, lanes 3-5 triple
-  // b. An in-register shift adds a into b's lanes, then one add folds the
-  // running carry into both. The b lanes associate as (a + b) + carry
-  // where the scalar does (carry + a) + b -- identical bits because every
-  // operand is exact on the quantized grid (see Kernels::prefix_sum3).
-  const __mmask8 m6 = 0x3F;
-  const __mmask8 m3 = 0x07;
-  const __mmask8 m_hi = 0x38;
-  const __m512i shift_up = _mm512_setr_epi64(0, 1, 2, 0, 1, 2, 6, 7);
-  const __m512i dup_hi = _mm512_setr_epi64(3, 4, 5, 3, 4, 5, 3, 4);
-  __m512d carry = _mm512_setzero_pd();  // running triple in lanes 0-5
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m512d v = _mm512_maskz_loadu_pd(m6, src + 3 * i);
-    const __m512d lifted = _mm512_maskz_permutexvar_pd(m_hi, shift_up, v);
-    const __m512d out = _mm512_add_pd(_mm512_add_pd(v, lifted), carry);
-    _mm512_mask_storeu_pd(dst + 3 * i, m6, out);
-    carry = _mm512_permutexvar_pd(dup_hi, out);
-  }
-  if (i < n) {
-    const __m512d v = _mm512_maskz_loadu_pd(m3, src + 3 * i);
-    _mm512_mask_storeu_pd(dst + 3 * i, m3, _mm512_add_pd(v, carry));
-  }
-}
-
 const Kernels kAvx512Table = {
-    Level::kAvx512, avx512_add,  avx512_sub,
-    avx512_diff,    avx512_zero, avx512_quantize_gather,
-    avx512_prefix_sum3,          generic_traverse_block,
+    Level::kAvx512,    avx512_add,       avx512_sub,
+    avx512_diff,       avx512_zero,      avx512_quantize_gather,
+    wide_scatter_bins, wide_prefix_sum4, generic_traverse_block,
     /*predict_tile=*/16,
 };
 

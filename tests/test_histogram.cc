@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstddef>
 #include <numeric>
 #include <span>
 #include <vector>
@@ -167,6 +169,57 @@ TEST(BinStats, ArithmeticOps) {
   a -= b;
   EXPECT_DOUBLE_EQ(a.count, 2.0);
   EXPECT_DOUBLE_EQ(a.h, 3.0);
+}
+
+TEST(BinStats, IsOneAligned32ByteLane) {
+  // The build's one-vector-access bin update needs every bin to be one
+  // aligned 32-byte lane {count, g, h, pad}.
+  EXPECT_EQ(sizeof(BinStats), 32u);
+  EXPECT_EQ(alignof(BinStats), 32u);
+  EXPECT_EQ(offsetof(BinStats, count), 0u);
+  EXPECT_EQ(offsetof(BinStats, g), 8u);
+  EXPECT_EQ(offsetof(BinStats, h), 16u);
+  EXPECT_EQ(offsetof(BinStats, pad), 24u);
+}
+
+void expect_pad_lanes_zero(const Histogram& hist) {
+  for (std::uint32_t f = 0; f < hist.num_fields(); ++f) {
+    for (const BinStats& b : hist.field(f)) {
+      EXPECT_TRUE(b.pad == 0.0 && !std::signbit(b.pad)) << "field " << f;
+    }
+  }
+}
+
+TEST(HistogramPool, EveryHandedOutBufferKeepsPadLanesZero) {
+  const auto data = small_binned();
+  const auto grads = random_gradients(data.num_records());
+  const auto rows = all_rows(data.num_records());
+  HistogramPool pool(data);
+  Histogram parent = pool.acquire();
+  parent.build(data, rows, grads);
+  Histogram child = pool.acquire();
+  child.build(data, std::span(rows).subspan(0, 137), grads);
+  parent.subtract(child);
+  parent.add(child);
+  Histogram diff = pool.take();
+  diff.subtract_from(parent, child);
+  expect_pad_lanes_zero(parent);
+  expect_pad_lanes_zero(diff);
+  pool.release(std::move(parent));
+  pool.release(std::move(child));
+  pool.release(std::move(diff));
+  // take() hands a buffer back as its last user left it (no clear)...
+  Histogram stale = pool.take();
+  EXPECT_GT(stale.totals().count, 0.0);
+  expect_pad_lanes_zero(stale);
+  // ...acquire() clears it.
+  Histogram cleared = pool.acquire();
+  expect_pad_lanes_zero(cleared);
+  EXPECT_EQ(cleared.totals().count, 0.0);
+  Histogram cleared2 = pool.acquire();
+  EXPECT_EQ(cleared2.totals().count, 0.0);
+  EXPECT_EQ(pool.allocations(), 3u);
+  EXPECT_EQ(pool.acquires(), 6u);
 }
 
 TEST(Histogram, TotalBinsMatchesDataset) {

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -102,6 +103,14 @@ TEST(IpcCodec, HistogramEncodeDecodeFixpointOnRandomizedShapes) {
     ByteReader r2(payload);
     ASSERT_TRUE(HistogramCodec::decode_histogram_into(r2, &into));
     expect_histograms_bit_equal(h, into);
+    // The pad lane never crosses the wire: decoded bins keep it +0.0.
+    for (const Histogram* d : {&decoded, &into}) {
+      for (std::uint32_t f = 0; f < d->num_fields(); ++f) {
+        for (const BinStats& b : d->field(f)) {
+          EXPECT_TRUE(b.pad == 0.0 && !std::signbit(b.pad));
+        }
+      }
+    }
   }
   // ...and rejects a shape mismatch instead of writing out of shape.
   Histogram h(std::vector<std::uint32_t>{2, 3});

@@ -8,7 +8,9 @@
 // tails, categorical splits, missing values, and single-leaf trees.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <tuple>
 #include <utility>
@@ -19,8 +21,10 @@
 #include "gbdt/histogram.h"
 #include "gbdt/trainer.h"
 #include "gbdt/tree.h"
+#include "util/aligned.h"
 #include "util/rng.h"
 #include "util/simd.h"
+#include "workloads/spec.h"
 #include "workloads/synth.h"
 
 namespace booster::util::simd {
@@ -138,43 +142,30 @@ TEST(SimdKernels, ArrayOpsBitIdenticalToScalar) {
   }
 }
 
-TEST(SimdKernels, PrefixSum3BitIdenticalOnQuantizedTriples) {
-  // prefix_sum3's wide paths may reassociate additions across triples, so
-  // its bit-identity contract holds for the operands it is specified for:
-  // integer counts and 2^-24-quantum gradient multiples (exact sums). Feed
-  // it exactly those, as the split scan does.
+TEST(SimdKernels, PrefixSum4BitIdenticalToScalar) {
+  // prefix_sum4 adds in index order at every level, so even inexact
+  // operands (unquantized gradients, a non-zero fourth lane) must give the
+  // scalar bits.
   const Kernels& scalar = kernels(Level::kScalar);
-  Rng rng(4242);
   for (const std::size_t n :
        {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{3},
         std::size_t{7}, std::size_t{64}, std::size_t{255}}) {
-    std::vector<double> src(3 * n);
-    for (std::size_t i = 0; i < n; ++i) {
-      src[3 * i] = static_cast<double>(i % 9);
-      src[3 * i + 1] =
-          gbdt::quantize_stat(static_cast<float>(rng.uniform(-1.0, 1.0)));
-      src[3 * i + 2] =
-          gbdt::quantize_stat(static_cast<float>(rng.uniform(0.0, 1.0)));
-    }
+    const std::vector<double> src = random_doubles(4 * n, 4242 + n);
     // Scalar kernel against a naive running sum.
-    std::vector<double> expect(3 * n);
-    double c = 0.0, g = 0.0, h = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      c += src[3 * i];
-      g += src[3 * i + 1];
-      h += src[3 * i + 2];
-      expect[3 * i] = c;
-      expect[3 * i + 1] = g;
-      expect[3 * i + 2] = h;
+    std::vector<double> expect(4 * n);
+    double sum[4] = {0.0, 0.0, 0.0, 0.0};
+    for (std::size_t i = 0; i < 4 * n; ++i) {
+      sum[i % 4] += src[i];
+      expect[i] = sum[i % 4];
     }
-    std::vector<double> out_s(3 * n, -1.0);
-    scalar.prefix_sum3(src.data(), n, out_s.data());
+    std::vector<double> out_s(4 * n, -1.0);
+    scalar.prefix_sum4(src.data(), n, out_s.data());
     EXPECT_EQ(out_s, expect) << "scalar n=" << n;
 
     for (const Level level : kWideLevels) {
       if (!level_available(level)) continue;  // skip, never fail
-      std::vector<double> out_w(3 * n, -2.0);
-      kernels(level).prefix_sum3(src.data(), n, out_w.data());
+      std::vector<double> out_w(4 * n, -2.0);
+      kernels(level).prefix_sum4(src.data(), n, out_w.data());
       EXPECT_EQ(out_w, out_s) << level_name(level) << " n=" << n;
     }
   }
@@ -309,6 +300,135 @@ TEST(SimdKernels, HistogramOpsBitIdenticalAcrossLevels) {
         EXPECT_EQ(da[i].count, db[i].count);
       }
     }
+  }
+}
+
+// ------------------------------------------------------------ bin scatter
+
+/// 4-double bin lanes {count, g, h, pad} on a 64-byte-aligned start, the
+/// layout Histogram's buffer gives scatter_bins.
+using LaneBuffer = std::vector<double, util::AlignedAllocator<double, 64>>;
+
+/// One scatter_bins input: a dataset's bin shape and row-major matrix (or
+/// a substitute matrix), the node's rows and their quantized {g, h}.
+struct ScatterInput {
+  std::vector<std::uint32_t> offsets;  // num_fields + 1 lane offsets
+  const std::uint16_t* row_major = nullptr;
+  std::size_t num_fields = 0;
+  std::vector<std::uint32_t> rows;
+  std::vector<double> qg, qh;
+};
+
+ScatterInput scatter_input(const BinnedDataset& data) {
+  ScatterInput in;
+  in.num_fields = data.num_fields();
+  in.offsets.push_back(0);
+  for (std::uint32_t f = 0; f < data.num_fields(); ++f) {
+    in.offsets.push_back(in.offsets.back() + data.field_bins(f).num_bins);
+  }
+  data.ensure_row_major();
+  in.row_major = data.row_major_bins();
+  return in;
+}
+
+/// The per-update definition of Kernels::scatter_bins, written out.
+LaneBuffer scatter_reference(const ScatterInput& in) {
+  LaneBuffer ref(4 * static_cast<std::size_t>(in.offsets.back()), 0.0);
+  for (std::size_t i = 0; i < in.rows.size(); ++i) {
+    const std::uint16_t* rec =
+        in.row_major + static_cast<std::size_t>(in.rows[i]) * in.num_fields;
+    for (std::size_t f = 0; f < in.num_fields; ++f) {
+      const std::size_t lane = in.offsets[f] + rec[f];
+      ref[4 * lane] += 1.0;
+      ref[4 * lane + 1] += in.qg[i];
+      ref[4 * lane + 2] += in.qh[i];
+    }
+  }
+  return ref;
+}
+
+/// Runs scatter_bins at every available level on a zeroed buffer and
+/// requires the reference's bytes exactly, pad lanes +0.0 included.
+void expect_scatter_matches_reference(const ScatterInput& in,
+                                      const char* label) {
+  const LaneBuffer ref = scatter_reference(in);
+  for (const simd::Level level :
+       {simd::Level::kScalar, simd::Level::kAvx2, simd::Level::kAvx512}) {
+    if (simd::kernels(level).level != level) continue;  // skip, never fail
+    LaneBuffer out(ref.size(), 0.0);
+    simd::kernels(level).scatter_bins(out.data(), in.offsets.data(),
+                                      in.row_major, in.num_fields,
+                                      in.rows.data(), in.rows.size(),
+                                      in.qg.data(), in.qh.data());
+    EXPECT_EQ(std::memcmp(out.data(), ref.data(), ref.size() * sizeof(double)),
+              0)
+        << label << " " << simd::level_name(level) << " n=" << in.rows.size();
+    for (std::size_t lane = 0; lane < out.size() / 4; ++lane) {
+      EXPECT_TRUE(out[4 * lane + 3] == 0.0 && !std::signbit(out[4 * lane + 3]))
+          << label << " " << simd::level_name(level) << " pad lane " << lane;
+    }
+  }
+}
+
+/// Quantized gradients for `n` records: mixed-sign g, non-negative h, and
+/// some exact zeros, as a real node's gradient pairs produce.
+void fill_quantized(std::size_t n, std::uint64_t seed, ScatterInput* in) {
+  util::Rng rng(seed);
+  in->qg.resize(n);
+  in->qh.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    in->qg[i] = i % 17 == 0 ? 0.0 : quantize_stat(rng.normal());
+    in->qh[i] = quantize_stat(rng.uniform(0.0, 1.0));
+  }
+}
+
+TEST(SimdKernels, ScatterBinsBitIdenticalToReferenceAtEveryLevel) {
+  constexpr std::uint64_t kRecords = 5003;
+  const std::pair<const char*, workloads::DatasetSpec> shapes[] = {
+      {"fraud", workloads::fraud_spec(kRecords)},
+      {"Allstate", workloads::spec_by_name("Allstate")},
+  };
+  for (const auto& [label, spec] : shapes) {
+    const BinnedDataset data =
+        Binner().bin(workloads::synthesize(spec, kRecords, 23));
+    for (const std::size_t n :
+         {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{255},
+          std::size_t{256}, std::size_t{257}, std::size_t{4097}}) {
+      ScatterInput in = scatter_input(data);
+      // Scrambled rows, as mid-tree nodes hand the kernel after partition.
+      for (std::size_t i = 0; i < n; ++i) {
+        in.rows.push_back(static_cast<std::uint32_t>((i * 7919 + 13) %
+                                                     kRecords));
+      }
+      fill_quantized(n, 31 + n, &in);
+      expect_scatter_matches_reference(in, label);
+    }
+  }
+}
+
+TEST(SimdKernels, ScatterBinsAllRowsInOneBin) {
+  // Worst-case conflicts: every record's every field lands in the same
+  // bin, so consecutive (and the two in-flight) updates all hit one lane.
+  constexpr std::uint64_t kRecords = 4097;
+  const BinnedDataset data = Binner().bin(
+      workloads::synthesize(workloads::fraud_spec(kRecords), kRecords, 5));
+  ScatterInput in = scatter_input(data);
+  std::vector<std::uint16_t> same(kRecords * in.num_fields);
+  for (std::size_t r = 0; r < kRecords; ++r) {
+    for (std::size_t f = 0; f < in.num_fields; ++f) {
+      same[r * in.num_fields + f] =
+          static_cast<std::uint16_t>(data.field_bins(f).num_bins - 1);
+    }
+  }
+  in.row_major = same.data();
+  for (const std::size_t n : {std::size_t{1}, std::size_t{2},
+                              std::size_t{257}, std::size_t{4097}}) {
+    in.rows.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      in.rows[i] = static_cast<std::uint32_t>(i);
+    }
+    fill_quantized(n, 77 + n, &in);
+    expect_scatter_matches_reference(in, "one-bin");
   }
 }
 

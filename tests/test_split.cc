@@ -392,9 +392,8 @@ TEST(SplitFinderThreaded, BinChunkedScanEngagesWithTooFewFieldsToChunk) {
 // --- SIMD prefix scan: dispatch-level bit-identity. ---------------------
 
 TEST(SplitFinderSimd, FindBestIdenticalAcrossDispatchLevels) {
-  // The numeric left-bucket accumulation runs through the simd prefix_sum3
-  // kernel. Wide levels may reassociate the prefix additions, but every
-  // operand is exact on the 2^-24 quantized grid, so the chosen split --
+  // The numeric left-bucket accumulation runs through the simd prefix_sum4
+  // kernel, which adds in bin order at every level, so the chosen split --
   // gain, child stats, tie-breaking, everything -- must be bit-identical
   // at every dispatch level this binary carries, on both the serial and
   // the threaded scan paths.
