@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the hot kernels of the functional
 // library and simulators: histogram build (software and BU-array), split
 // scan, predicate partition (the accelerator model's and the trainer's),
-// tree traversal, and the cycle-level DRAM model.
+// tree traversal, the step-5 logistic refresh, and the cycle-level DRAM
+// model.
 // These measure *simulator* throughput, useful when tuning the functional
 // pipeline; the paper's figures come from the bench_fig* binaries.
 #include <benchmark/benchmark.h>
@@ -15,6 +16,7 @@
 #include "gbdt/flat_ensemble.h"
 #include "gbdt/histogram.h"
 #include "gbdt/hotpath.h"
+#include "gbdt/loss.h"
 #include "gbdt/split.h"
 #include "gbdt/trainer.h"
 #include "memsim/memory_system.h"
@@ -250,7 +252,7 @@ void BM_SimdQuantizeGather(benchmark::State& state) {
   const auto& ker = util::simd::kernels();
   for (auto _ : state) {
     ker.quantize_gather(reinterpret_cast<const float*>(grads.data()),
-                        rows.data(), kRows, gbdt::kStatInvQuantum,
+                        rows.data(), kRows, 0, gbdt::kStatInvQuantum,
                         gbdt::kStatQuantum, qg.data(), qh.data());
     benchmark::DoNotOptimize(qg.data());
     benchmark::DoNotOptimize(qh.data());
@@ -259,6 +261,36 @@ void BM_SimdQuantizeGather(benchmark::State& state) {
                           kRows);
 }
 BENCHMARK(BM_SimdQuantizeGather)->ArgName("level")->Arg(0)->Arg(1)->Arg(2);
+
+void BM_SimdLogisticRefresh(benchmark::State& state) {
+  // Step 5's dense pass on one chunk: LogisticLoss::refresh (the
+  // logistic_refresh kernel) over 2^17 fraud-like rows -- preds ~
+  // N(-2, 1.5), 2 % positives -- adding zero deltas (so every iteration
+  // sees the same preds) and summing the quantized loss.
+  util::simd::Level lv;
+  if (!simd_leg_level(state, &lv)) return;
+  const util::simd::ScopedLevelForTesting scoped(lv);
+  constexpr std::size_t kRows = std::size_t{1} << 17;
+  util::Rng rng(17);
+  std::vector<float> preds(kRows), labels(kRows);
+  for (std::size_t i = 0; i < kRows; ++i) {
+    preds[i] = static_cast<float>(rng.normal() * 1.5 - 2.0);
+    labels[i] = rng.bernoulli(0.02) ? 1.0f : 0.0f;
+  }
+  const std::vector<float> deltas(kRows, 0.0f);
+  std::vector<gbdt::GradientPair> grads(kRows);
+  const gbdt::LogisticLoss loss;
+  for (auto _ : state) {
+    const double total =
+        loss.refresh(preds, deltas, labels, grads, /*with_loss=*/true);
+    benchmark::DoNotOptimize(total);
+    benchmark::DoNotOptimize(grads.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          kRows);
+}
+BENCHMARK(BM_SimdLogisticRefresh)->ArgName("level")->Arg(0)->Arg(1)->Arg(2);
 
 /// The train-fraud table's shape (10 fields, ~1.8k bins, heavy
 /// categoricals) at its ~500k rows: the build kernel's node sizes match a

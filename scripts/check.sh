@@ -33,11 +33,14 @@ BOOSTER_SIMD=scalar ctest --test-dir "$BUILD_DIR" --output-on-failure \
 # AVX2 leg over the kernel and training-equivalence suites: on an AVX-512
 # host the native pass above never trains end to end on the AVX2 table
 # (the in-process cross-level sweeps only pin single kernels and short
-# runs to it). On a host without AVX2 the override clamps to the detected
-# level and this leg reruns that level.
+# runs to it). test_loss adds Loss::refresh against its per-row scalar
+# lane at the AVX2 level; test_simd's low-bit logistic sweep is what
+# catches a multiply-add contracted into an FMA in one level's build. On a
+# host without AVX2 the override clamps to the detected level and this leg
+# reruns that level.
 BOOSTER_SIMD=avx2 ctest --test-dir "$BUILD_DIR" --output-on-failure \
   -j "$(nproc)" \
-  -R '^(test_simd|test_histogram|test_hotpath_equivalence|test_sharded_equivalence)$'
+  -R '^(test_simd|test_loss|test_histogram|test_hotpath_equivalence|test_sharded_equivalence)$'
 
 # ASan+UBSan leg: RelWithDebInfo keeps it fast enough for CI while the
 # sanitizers still see every retry loop and shim. -fno-sanitize-recover

@@ -62,7 +62,8 @@ Histogram::Histogram(std::span<const std::uint32_t> bins_per_field) {
 
 void Histogram::build(const BinnedDataset& data,
                       std::span<const std::uint32_t> rows,
-                      std::span<const GradientPair> gradients) {
+                      std::span<const GradientPair> gradients,
+                      std::uint32_t row_base) {
   BOOSTER_CHECK(num_fields() == data.num_fields());
   data.ensure_row_major();  // no-op after the first (pre-fan-out) call
   const BinIndex* row_major = data.row_major_bins();
@@ -82,10 +83,12 @@ void Histogram::build(const BinnedDataset& data,
     // callers holding already-quantized pairs pay nothing; the bin updates
     // below are then exact additions in any order -- see quantize_stat in
     // the header.
-    ker.quantize_gather(pairs, row_ptr + base, m, kStatInvQuantum,
+    ker.quantize_gather(pairs, row_ptr + base, m, row_base, kStatInvQuantum,
                         kStatQuantum, qg, qh);
 #ifndef NDEBUG
     for (std::size_t j = 0; j < m; ++j) {
+      BOOSTER_DCHECK(row_ptr[base + j] >= row_base &&
+                     row_ptr[base + j] - row_base < gradients.size());
       const BinIndex* record =
           row_major + static_cast<std::size_t>(row_ptr[base + j]) * num_fields;
       for (std::size_t f = 0; f < num_fields; ++f) {

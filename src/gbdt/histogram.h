@@ -134,9 +134,12 @@ class Histogram {
   /// from the dataset's packed row-major matrix. This is the exact work
   /// step 1 performs (one bin update per field per record), in the memory
   /// order the paper's row-major layout prescribes, each update one
-  /// read-modify-write of the bin's lane.
+  /// read-modify-write of the bin's lane. `gradients` starts at row
+  /// `row_base` (every row in `rows` is >= row_base), so a holder of a
+  /// contiguous row range indexes its own pairs from its first row.
   void build(const BinnedDataset& data, std::span<const std::uint32_t> rows,
-             std::span<const GradientPair> gradients);
+             std::span<const GradientPair> gradients,
+             std::uint32_t row_base = 0);
 
   /// The seed's column-major gather kernel: one full pass over `rows` per
   /// field, reading the per-field columns. It accumulates in a different

@@ -3,13 +3,45 @@
 #include <algorithm>
 #include <cmath>
 
+#include "gbdt/histogram.h"
 #include "util/check.h"
+#include "util/simd.h"
 
 namespace booster::gbdt {
 
+static_assert(sizeof(GradientPair) == 2 * sizeof(float),
+              "logistic_refresh stores packed {g, h} float pairs");
+
 namespace {
 double sigmoid(double x) { return 1.0 / (1.0 + std::exp(-x)); }
+
+void check_refresh_spans(std::span<float> preds, std::span<const float> deltas,
+                         std::span<const float> labels,
+                         std::span<GradientPair> grads) {
+  BOOSTER_CHECK_MSG(labels.size() == preds.size() &&
+                        grads.size() == preds.size() &&
+                        (deltas.empty() || deltas.size() == preds.size()),
+                    "Loss::refresh spans differ in size");
+}
 }  // namespace
+
+double Loss::refresh(std::span<float> preds, std::span<const float> deltas,
+                     std::span<const float> labels,
+                     std::span<GradientPair> grads, bool with_loss) const {
+  check_refresh_spans(preds, deltas, labels, grads);
+  double total = 0.0;
+  for (std::size_t i = 0; i < preds.size(); ++i) {
+    if (!deltas.empty()) preds[i] += deltas[i];
+    if (with_loss) {
+      const LossEval ev = evaluate(preds[i], labels[i]);
+      grads[i] = ev.grad;
+      total += quantize_stat(ev.value);
+    } else {
+      grads[i] = gradients(preds[i], labels[i]);
+    }
+  }
+  return total;
+}
 
 GradientPair SquaredLoss::gradients(float pred, float y) const {
   return GradientPair{pred - y, 1.0f};
@@ -21,34 +53,25 @@ double SquaredLoss::value(float pred, float y) const {
 }
 
 GradientPair LogisticLoss::gradients(float pred, float y) const {
-  const double p = sigmoid(pred);
-  return GradientPair{static_cast<float>(p - y),
-                      static_cast<float>(std::max(p * (1.0 - p), 1e-16))};
+  const util::simd::LogisticTerms t =
+      util::simd::logistic_terms(pred, y, /*with_loss=*/false);
+  return GradientPair{t.g, t.h};
 }
 
 double LogisticLoss::value(float pred, float y) const {
-  const double p = std::clamp(sigmoid(pred), 1e-15, 1.0 - 1e-15);
-  return -(y * std::log(p) + (1.0 - y) * std::log(1.0 - p));
+  return util::simd::logistic_terms(pred, y, /*with_loss=*/true).loss;
 }
 
-LossEval LogisticLoss::evaluate(float pred, float y) const {
-  const double p = sigmoid(pred);
-  const double pc = std::clamp(p, 1e-15, 1.0 - 1e-15);
-  // value()'s two log terms are finite and nonzero (pc is clamped inside
-  // (0, 1)), so for a hard label the zero-weighted term only adds a signed
-  // zero, which leaves every bit of the other term unchanged.
-  double log_likelihood;
-  if (y == 0.0f) {
-    log_likelihood = std::log(1.0 - pc);
-  } else if (y == 1.0f) {
-    log_likelihood = std::log(pc);
-  } else {
-    log_likelihood = y * std::log(pc) + (1.0 - y) * std::log(1.0 - pc);
-  }
-  return LossEval{
-      GradientPair{static_cast<float>(p - y),
-                   static_cast<float>(std::max(p * (1.0 - p), 1e-16))},
-      -log_likelihood};
+double LogisticLoss::refresh(std::span<float> preds,
+                             std::span<const float> deltas,
+                             std::span<const float> labels,
+                             std::span<GradientPair> grads,
+                             bool with_loss) const {
+  check_refresh_spans(preds, deltas, labels, grads);
+  return util::simd::kernels().logistic_refresh(
+      preds.data(), deltas.empty() ? nullptr : deltas.data(), labels.data(),
+      preds.size(), reinterpret_cast<float*>(grads.data()), with_loss,
+      kStatInvQuantum, kStatQuantum);
 }
 
 double LogisticLoss::transform(double raw) const { return sigmoid(raw); }

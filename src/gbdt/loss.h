@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 
 namespace booster::gbdt {
@@ -33,12 +34,24 @@ class Loss {
   /// Loss value for reporting/early-stopping.
   virtual double value(float pred, float y) const = 0;
 
-  /// gradients() and value() in one call -- the step-5 gradient refresh
-  /// reports the training loss from the same pass. Overrides must return
-  /// exactly the bits of the two separate calls.
-  virtual LossEval evaluate(float pred, float y) const {
+  /// gradients() and value() in one call: one row of refresh().
+  LossEval evaluate(float pred, float y) const {
     return LossEval{gradients(pred, y), value(pred, y)};
   }
+
+  /// Step 5 over a batch of rows -- the dense pass after each tree, and the
+  /// refresh after a reset or a replayed tree. For every i:
+  ///   preds[i] += deltas[i]      (skipped when `deltas` is empty)
+  ///   grads[i] = gradients(preds[i], labels[i])
+  /// and, when `with_loss`, returns the sum over i of
+  /// quantize_stat(value(preds[i], labels[i])), else 0. The terms sit on
+  /// the quantum grid, so the sum is exact in any order and any chunking
+  /// (gbdt/histogram.h). All spans but an empty `deltas` have one size.
+  /// The default is the per-row loop over evaluate() / gradients(); an
+  /// override must return exactly the bits that loop gives.
+  virtual double refresh(std::span<float> preds, std::span<const float> deltas,
+                         std::span<const float> labels,
+                         std::span<GradientPair> grads, bool with_loss) const;
 
   /// Transforms a raw model output into the task's response (identity for
   /// regression, sigmoid for binary classification).
@@ -60,13 +73,21 @@ class SquaredLoss final : public Loss {
 
 /// Logistic loss for y in {0,1}: g = sigmoid(pred) - y,
 /// h = sigmoid(pred) * (1 - sigmoid(pred)).
+///
+/// The training math -- gradients, value, evaluate and refresh -- is
+/// util::simd's logistic refresh on the in-repo exp/log: refresh runs the
+/// kernel at the active SIMD level, and the per-row calls run its scalar
+/// lane (util::simd::logistic_terms), so every path, the seed-serial
+/// reference included, computes the same bits. transform and base_score,
+/// which serve predictions and seed the ensemble, keep std::exp/std::log.
 class LogisticLoss final : public Loss {
  public:
   GradientPair gradients(float pred, float y) const override;
   double value(float pred, float y) const override;
-  /// One sigmoid per record, and for a hard label (y exactly 0 or 1) only
-  /// the log term that is not multiplied by zero.
-  LossEval evaluate(float pred, float y) const override;
+  /// util::simd::Kernels::logistic_refresh at the active level.
+  double refresh(std::span<float> preds, std::span<const float> deltas,
+                 std::span<const float> labels, std::span<GradientPair> grads,
+                 bool with_loss) const override;
   double transform(double raw) const override;
   double base_score(double label_mean) const override;
   std::string name() const override { return "logistic"; }

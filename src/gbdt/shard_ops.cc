@@ -1,6 +1,7 @@
 #include "gbdt/shard_ops.h"
 
 #include <algorithm>
+#include <span>
 #include <utility>
 
 #include "util/check.h"
@@ -37,9 +38,13 @@ ShardGroup::ShardGroup(const BinnedDataset& data, const TrainerConfig& cfg,
     sh.arena.resize(end - begin);
     sh.scratch.resize(end - begin);
   }
-  preds_.resize(n);
-  gradients_.resize(n);
-  deltas_.resize(shards_.back().row_end - shards_.front().row_begin);
+  // Step-5 state covers the group's own rows only, indexed from its first
+  // row (the owned shards are contiguous).
+  row_base_ = shards_.front().row_begin;
+  const std::uint64_t group_rows = shards_.back().row_end - row_base_;
+  preds_.resize(group_rows);
+  gradients_.resize(group_rows);
+  deltas_.resize(group_rows);
   col_ptrs_ = column_pointers(data_);
   node_chunks_.resize(local);
   tasks_.reserve(static_cast<std::size_t>(local) * sub_);
@@ -86,6 +91,19 @@ void ShardGroup::add_leaf(std::int32_t tree_node, std::int32_t depth,
   }
 }
 
+double ShardGroup::refresh_rows(const Loss& loss, std::uint64_t begin,
+                                std::uint64_t end, bool add_deltas,
+                                bool with_loss) {
+  const std::size_t first = begin - row_base_;
+  const std::size_t count = end - begin;
+  return loss.refresh(
+      std::span<float>(preds_).subspan(first, count),
+      add_deltas ? std::span<const float>(deltas_).subspan(first, count)
+                 : std::span<const float>{},
+      std::span<const float>(data_.labels()).subspan(begin, count),
+      std::span<GradientPair>(gradients_).subspan(first, count), with_loss);
+}
+
 void ShardGroup::reset(const Loss& loss, double base_score) {
   if (num_local() == 0) return;
   std::fill(preds_.begin(), preds_.end(), static_cast<float>(base_score));
@@ -93,9 +111,7 @@ void ShardGroup::reset(const Loss& loss, double base_score) {
     const Shard& sh = shards_[task / sub_];
     const auto [b, e] =
         chunk_range(sh.row_begin, sh.row_end, task % sub_, sub_);
-    for (std::uint64_t r = b; r < e; ++r) {
-      gradients_[r] = loss.gradients(preds_[r], data_.labels()[r]);
-    }
+    refresh_rows(loss, b, e, /*add_deltas=*/false, /*with_loss=*/false);
   });
 }
 
@@ -285,7 +301,7 @@ void ShardGroup::build_pending() {
     Histogram& h = c == 0 ? sh.built : sh.partials[c - 1];
     h.build(data_,
             std::span<const std::uint32_t>(sh.arena.data() + b, e - b),
-            gradients_);
+            gradients_, static_cast<std::uint32_t>(row_base_));
   });
   // Chunk partials merge in chunk order; any grouping is exact, so the
   // per-shard result is bit-identical to a serial whole-span build.
@@ -335,26 +351,20 @@ void ShardGroup::finish_tree(const Tree& tree, const Loss& loss, double* hops,
     hop_total += order_leaf_spans(sh.leaves, sh.num_rows());
   }
   // Phase 1 scatters deltas over each shard's arena positions, phase 2 is
-  // the dense per-row pass over each shard's rows; both over the
-  // flattened (shard, sub-chunk) task grid.
-  const std::uint64_t row_base = shards_.front().row_begin;
+  // the dense pass over each shard's rows, one Loss::refresh per chunk;
+  // both over the flattened (shard, sub-chunk) task grid.
   pool_->run_tasks(local * sub_, [&](unsigned task) {
     const Shard& sh = shards_[task / sub_];
     const auto [b, e] = chunk_range(0, sh.num_rows(), task % sub_, sub_);
-    scatter_leaf_deltas(sh.leaves, sh.arena, b, e, row_base, deltas_);
+    scatter_leaf_deltas(sh.leaves, sh.arena, b, e, row_base_, deltas_);
   });
+  const bool with_loss = quantized_loss != nullptr;
   pool_->run_tasks(local * sub_, [&](unsigned task) {
     const Shard& sh = shards_[task / sub_];
     const auto [b, e] =
         chunk_range(sh.row_begin, sh.row_end, task % sub_, sub_);
-    double chunk_loss = 0.0;
-    for (std::uint64_t r = b; r < e; ++r) {
-      preds_[r] += deltas_[r - row_base];
-      const LossEval ev = loss.evaluate(preds_[r], data_.labels()[r]);
-      gradients_[r] = ev.grad;
-      chunk_loss += quantize_stat(ev.value);
-    }
-    chunk_losses_[task] = chunk_loss;
+    chunk_losses_[task] =
+        refresh_rows(loss, b, e, /*add_deltas=*/true, with_loss);
   });
   // Loss terms are quantized, so this reduction is exact in any grouping;
   // (shard, chunk) order keeps it readable.
@@ -377,19 +387,18 @@ void ShardGroup::replay_tree(const Tree& tree, const Loss& loss) {
         chunk_range(sh.row_begin, sh.row_end, task % sub_, sub_);
     double wts[util::simd::kMaxPredictTile];
     const util::simd::FlatTreeView view = flat_.view();
-    // Blocked SIMD traversal: pure routing plus per-record updates in
-    // ascending order, bit-identical to the per-record loop at every
-    // dispatch level.
+    // Blocked SIMD traversal writes each row's leaf weight into deltas_
+    // (pure routing, identical at every dispatch level); then one refresh
+    // applies them, as finish_tree's dense pass does.
     for (std::uint64_t r0 = b; r0 < e; r0 += ker.predict_tile) {
       const std::size_t m = static_cast<std::size_t>(
           std::min<std::uint64_t>(ker.predict_tile, e - r0));
       ker.traverse_block(view, col_ptrs_.data(), r0, m, wts, nullptr);
       for (std::size_t i = 0; i < m; ++i) {
-        const std::uint64_t r = r0 + i;
-        preds_[r] += static_cast<float>(wts[i]);
-        gradients_[r] = loss.gradients(preds_[r], data_.labels()[r]);
+        deltas_[r0 + i - row_base_] = static_cast<float>(wts[i]);
       }
     }
+    refresh_rows(loss, b, e, /*add_deltas=*/true, /*with_loss=*/false);
   });
 }
 

@@ -112,16 +112,18 @@ class ShardGroup {
   /// frontier must be drained; `tree` is the training loop's copy, whose
   /// node ids the group mirrors): scatter each leaf's delta to the rows of
   /// its arena spans, then update predictions, refresh gradients and sum
-  /// the quantized per-record loss terms in one dense pass (chunk partials
-  /// reduced in chunk order -- exact, see histogram.h). `hops` receives
-  /// sum(leaf depth x span rows), the integer a traversal would count.
+  /// the quantized per-record loss terms in one dense pass, one
+  /// Loss::refresh per chunk (chunk partials reduced in chunk order --
+  /// exact, see histogram.h; skipped when `quantized_loss` is null).
+  /// `hops` receives sum(leaf depth x span rows), the integer a traversal
+  /// would count.
   void finish_tree(const Tree& tree, const Loss& loss, double* hops,
                    double* quantized_loss);
 
   /// Step 5 for a tree that was not grown on these rows (warm-start init
   /// trees, catch-up and adoption replay): the blocked SIMD traversal
-  /// finds each row's leaf, with the same per-record update arithmetic as
-  /// finish_tree.
+  /// writes each row's leaf weight into the delta scratch, then one
+  /// Loss::refresh per chunk applies it with finish_tree's arithmetic.
   void replay_tree(const Tree& tree, const Loss& loss);
 
   /// Per-shard diagnostics (rows, pool counters, arena bytes, sub-chunk
@@ -176,6 +178,10 @@ class ShardGroup {
   /// node_chunks_[ls] (0 for an empty span), and tasks_ lists the grid's
   /// tasks as ls * sub_ + c. Returns the task count.
   unsigned plan_node_tasks(std::uint32_t slot, std::uint64_t grain);
+  /// One Loss::refresh over global rows [begin, end) of the group (adding
+  /// deltas_ first when `add_deltas`); returns its quantized loss sum.
+  double refresh_rows(const Loss& loss, std::uint64_t begin,
+                      std::uint64_t end, bool add_deltas, bool with_loss);
   /// Sub-chunk [c_begin, c_end) of range [begin, end).
   static std::pair<std::uint64_t, std::uint64_t> chunk_range(
       std::uint64_t begin, std::uint64_t end, std::uint32_t c,
@@ -193,10 +199,12 @@ class ShardGroup {
   std::uint32_t sub_ = 1;
 
   std::vector<Shard> shards_;
+  /// Step-5 state of the owned rows, all indexed by row - row_base_ (the
+  /// owned shards are contiguous): predictions, gradient pairs, and the
+  /// scratch of each row's leaf delta for the current tree.
+  std::uint64_t row_base_ = 0;
   std::vector<float> preds_;
   std::vector<GradientPair> gradients_;
-  /// Step-5 scratch: each owned row's scattered leaf delta, indexed from
-  /// the group's first row (the owned shards are contiguous).
   std::vector<float> deltas_;
 
   /// Per-field column base pointers for the blocked traversal kernel

@@ -2,6 +2,8 @@
 
 #include <array>
 #include <bit>
+#include <cstring>
+#include <limits>
 
 #include "util/check.h"
 
@@ -100,6 +102,12 @@ void ByteWriter::u64(std::uint64_t v) {
 
 void ByteWriter::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
 
+std::uint8_t* ByteWriter::append(std::size_t n) {
+  const std::size_t at = out_->size();
+  out_->resize(at + n);
+  return out_->data() + at;
+}
+
 std::uint8_t ByteReader::u8() {
   if (pos_ + 1 > bytes_.size()) {
     ok_ = false;
@@ -145,6 +153,16 @@ std::uint64_t ByteReader::u64() {
 }
 
 double ByteReader::f64() { return std::bit_cast<double>(u64()); }
+
+const std::uint8_t* ByteReader::take(std::size_t n) {
+  if (!ok_ || n > bytes_.size() - pos_) {
+    ok_ = false;
+    return nullptr;
+  }
+  const std::uint8_t* at = bytes_.data() + pos_;
+  pos_ += n;
+  return at;
+}
 
 std::vector<std::uint8_t> HistogramCodec::encode_frame(
     MessageType type, std::uint64_t seq,
@@ -194,6 +212,43 @@ DecodeStatus HistogramCodec::decode_frame(std::span<const std::uint8_t> frame,
   return DecodeStatus::kOk;
 }
 
+namespace {
+
+// A bin travels as its {count, g, h} doubles, 8 little-endian bytes each --
+// f64()'s bytes, which on a little-endian IEEE host are the doubles' own
+// bytes. So a bin is one 24-byte copy of the three adjacent members.
+static_assert(std::endian::native == std::endian::little &&
+                  std::numeric_limits<double>::is_iec559,
+              "the histogram block copy assumes little-endian IEEE doubles");
+constexpr std::size_t kWireBinBytes = 24;
+
+/// Copies the bins of every field of `h` into `dst` (total_bins() * 24
+/// bytes).
+void copy_bins_out(const gbdt::Histogram& h, std::uint8_t* dst) {
+  for (std::uint32_t f = 0; f < h.num_fields(); ++f) {
+    for (const gbdt::BinStats& b : h.field(f)) {
+      std::memcpy(dst, &b.count, 8);
+      std::memcpy(dst + 8, &b.g, 8);
+      std::memcpy(dst + 16, &b.h, 8);
+      dst += kWireBinBytes;
+    }
+  }
+}
+
+/// Overwrites every bin's {count, g, h} of `h` from `src`; pads untouched.
+void copy_bins_in(const std::uint8_t* src, gbdt::Histogram* h) {
+  for (std::uint32_t f = 0; f < h->num_fields(); ++f) {
+    for (gbdt::BinStats& b : h->mutable_field(f)) {
+      std::memcpy(&b.count, src, 8);
+      std::memcpy(&b.g, src + 8, 8);
+      std::memcpy(&b.h, src + 16, 8);
+      src += kWireBinBytes;
+    }
+  }
+}
+
+}  // namespace
+
 void HistogramCodec::encode_histogram(const gbdt::Histogram& h,
                                       std::vector<std::uint8_t>* out) {
   ByteWriter w(out);
@@ -202,13 +257,7 @@ void HistogramCodec::encode_histogram(const gbdt::Histogram& h,
   for (std::uint32_t f = 0; f < num_fields; ++f) {
     w.u32(static_cast<std::uint32_t>(h.field(f).size()));
   }
-  for (std::uint32_t f = 0; f < num_fields; ++f) {
-    for (const gbdt::BinStats& b : h.field(f)) {
-      w.f64(b.count);
-      w.f64(b.g);
-      w.f64(b.h);
-    }
-  }
+  copy_bins_out(h, w.append(h.total_bins() * kWireBinBytes));
 }
 
 bool HistogramCodec::decode_histogram(ByteReader& r, gbdt::Histogram* out) {
@@ -222,16 +271,12 @@ bool HistogramCodec::decode_histogram(ByteReader& r, gbdt::Histogram* out) {
     bins_per_field[f] = r.u32();
     total_bins += bins_per_field[f];
   }
-  if (!r.ok() || total_bins * 24 > kMaxPayloadBytes) return false;
+  if (!r.ok() || total_bins * kWireBinBytes > kMaxPayloadBytes) return false;
+  const std::uint8_t* bins = r.take(total_bins * kWireBinBytes);
+  if (bins == nullptr) return false;
   *out = gbdt::Histogram(bins_per_field);
-  for (std::uint32_t f = 0; f < num_fields; ++f) {
-    for (gbdt::BinStats& b : out->mutable_field(f)) {
-      b.count = r.f64();
-      b.g = r.f64();
-      b.h = r.f64();
-    }
-  }
-  return r.ok();
+  copy_bins_in(bins, out);
+  return true;
 }
 
 bool HistogramCodec::decode_histogram_into(ByteReader& r,
@@ -242,14 +287,10 @@ bool HistogramCodec::decode_histogram_into(ByteReader& r,
     if (r.u32() != out->field(f).size()) return false;
   }
   if (!r.ok()) return false;
-  for (std::uint32_t f = 0; f < num_fields; ++f) {
-    for (gbdt::BinStats& b : out->mutable_field(f)) {
-      b.count = r.f64();
-      b.g = r.f64();
-      b.h = r.f64();
-    }
-  }
-  return r.ok();
+  const std::uint8_t* bins = r.take(out->total_bins() * kWireBinBytes);
+  if (bins == nullptr) return false;
+  copy_bins_in(bins, out);
+  return true;
 }
 
 std::vector<std::uint8_t> HistogramCodec::encode_shard_histogram(

@@ -107,9 +107,16 @@ struct Frame {
 /// Little-endian byte writer (append-only). All multi-byte quantities in
 /// the wire format go through these helpers, never through memcpy of host
 /// structs -- the layout must not depend on host endianness or padding.
+/// The one block path, the histogram bins, copies raw doubles only where a
+/// static_assert pins the host to little-endian IEEE doubles, so its bytes
+/// equal f64()'s.
 class ByteWriter {
  public:
   explicit ByteWriter(std::vector<std::uint8_t>* out) : out_(out) {}
+
+  /// Grows the output by `n` bytes (one resize) and returns where they
+  /// start, for a block copy; valid until the next write.
+  std::uint8_t* append(std::size_t n);
 
   void u8(std::uint8_t v) { out_->push_back(v); }
   void u16(std::uint16_t v);
@@ -137,6 +144,9 @@ class ByteReader {
   std::uint64_t u64();
   std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
   double f64();
+  /// The next `n` bytes as one block, or nullptr (setting the failure
+  /// flag) when fewer remain.
+  const std::uint8_t* take(std::size_t n);
 
   bool ok() const { return ok_; }
   /// True when every payload byte was consumed (and no read overran).

@@ -1,3 +1,6 @@
+// Keep a * b + c two roundings in every kernel body: see simd.h.
+#pragma GCC optimize("fp-contract=off")
+
 #include "util/simd.h"
 
 #include <atomic>
@@ -16,6 +19,7 @@ const Kernels kScalarTable = {
     Level::kScalar,       generic_add,         generic_sub,
     generic_diff,         generic_zero,        generic_quantize_gather,
     generic_scatter_bins, generic_prefix_sum4, generic_traverse_block,
+    logistic_refresh_lanes<1>,
     /*predict_tile=*/4,
 };
 
@@ -122,6 +126,18 @@ Level active() { return active_slot().load(std::memory_order_relaxed); }
 void set_active_for_testing(Level level) {
   if (level > detected()) level = detected();
   active_slot().store(level, std::memory_order_relaxed);
+}
+
+double exp(double x) { return lane_exp<1>(Lanes<1>::D{x})[0]; }
+
+double log(double x) { return lane_log<1>(Lanes<1>::D{x})[0]; }
+
+LogisticTerms logistic_terms(float pred, float label, bool with_loss) {
+  Lanes<1>::F g, h;
+  const double loss = logistic_lanes<1>(Lanes<1>::D{pred},
+                                        Lanes<1>::D{label}, &g, &h,
+                                        with_loss)[0];
+  return LogisticTerms{g[0], h[0], loss};
 }
 
 const Kernels& kernels() { return kernels(active()); }

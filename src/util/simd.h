@@ -19,6 +19,13 @@
 // instructions and runs on any x86-64 (or non-x86) host; each wide TU keeps
 // all of its helpers at internal linkage so the linker can never fold a
 // wide-compiled body into the portable code path.
+//
+// No FMA anywhere: each of the three kernel TUs opens with
+// `#pragma GCC optimize("fp-contract=off")`, because -mavx512f implies FMA
+// and GCC contracts a * b + c by default in C++. A contracted multiply-add
+// rounds once where the scalar level rounds twice, which would split the
+// levels' bits; the pragma keeps that guarantee in the source, whatever
+// flags a build adds.
 #pragma once
 
 #include <cstddef>
@@ -105,6 +112,8 @@ inline constexpr std::uint8_t kNodeDefaultLeft = 4;  // missing goes left
 ///   scatter_bins      | Histogram::build stage 2     | 3 adds | 1 lane RMW
 ///   prefix_sum4       | SplitFinder::scan_numeric    | 4 sums | 1 lane add
 ///   traverse_block    | FlatEnsemble::predict_many   | one shared body
+///   logistic_refresh  | LogisticLoss::refresh        | 1 lane | 4/8 lanes
+///                     | (step 5)                     | one shared body
 struct Kernels {
   Level level = Level::kScalar;
 
@@ -118,15 +127,17 @@ struct Kernels {
   void (*zero)(double* dst, std::size_t n);
 
   /// Batch gather-quantize of interleaved {g, h} float pairs onto the
-  /// quantum grid: for i in [0, n),
-  ///   qg[i] = nearbyint(pairs[2 * rows[i]]     * inv_quantum) * quantum
-  ///   qh[i] = nearbyint(pairs[2 * rows[i] + 1] * inv_quantum) * quantum
+  /// quantum grid: for i in [0, n), with j = rows[i] - row_base (every
+  /// rows[i] >= row_base; `pairs` starts at row row_base's pair),
+  ///   qg[i] = nearbyint(pairs[2 * j]     * inv_quantum) * quantum
+  ///   qh[i] = nearbyint(pairs[2 * j + 1] * inv_quantum) * quantum
   /// computed with the same operations as gbdt::quantize_stat (round uses
   /// the current rounding mode on every path), so results are bit-identical
   /// to the scalar loop at every level.
   void (*quantize_gather)(const float* pairs, const std::uint32_t* rows,
-                          std::size_t n, double inv_quantum, double quantum,
-                          double* qg, double* qh);
+                          std::size_t n, std::uint32_t row_base,
+                          double inv_quantum, double quantum, double* qg,
+                          double* qh);
 
   /// Histogram bin scatter, step 1's bin updates (stage 2 of
   /// gbdt::Histogram::build). `bins` holds 4-double lanes {count, g, h,
@@ -164,9 +175,57 @@ struct Kernels {
                          std::uint64_t first_record, std::size_t count,
                          double* weights, std::uint32_t* hops);
 
+  /// Step 5's logistic refresh of n rows (LogisticLoss::refresh). For i in
+  /// [0, n):
+  ///   preds[i] += deltas[i]                  (float add; skipped when
+  ///                                           `deltas` is null)
+  ///   p = 1 / (1 + exp(-(double)preds[i]))
+  ///   grads[2i] = (float)(p - labels[i])
+  ///   grads[2i + 1] = (float)max(p * (1 - p), 1e-16)
+  /// and, when `with_loss`, returns sum_i round(v_i * inv_quantum) * quantum
+  /// for the loss term v_i = -log(pc) (label 1), -log(1 - pc) (label 0), or
+  /// -(y log(pc) + (1 - y) log(1 - pc)) (any other label), with pc = p
+  /// clamped to [1e-15, 1 - 1e-15]; round is to nearest even, i.e.
+  /// nearbyint under the default rounding mode. Returns 0 otherwise. The
+  /// terms sit on the quantum grid, so the sum is exact in any order.
+  /// exp and log are the in-repo functions below, the same IEEE operations
+  /// at every level -- one body over 1, 4 or 8 lanes -- so every output is
+  /// bit-identical across levels by construction.
+  double (*logistic_refresh)(float* preds, const float* deltas,
+                             const float* labels, std::size_t n,
+                             float* grads, bool with_loss,
+                             double inv_quantum, double quantum);
+
   /// Preferred record-tile width for blocked prediction at this level.
   unsigned predict_tile = 4;
 };
+
+/// The in-repo exp and log that logistic_refresh runs on, at the scalar
+/// level (one lane of the kernel's body). They are built only from IEEE
+/// + - * /, compares, selects and bit operations, never a contracted
+/// multiply-add or an int64 -> double conversion, so every level computes
+/// the same bits. exp: Cody-Waite reduction by ln 2, a degree-13 Taylor
+/// polynomial, 2^k applied as two exact power-of-two factors. log:
+/// fdlibm's reduction to [sqrt(2)/2, sqrt(2)) and its Lg1..Lg7 series.
+/// Both handle +-0, subnormals and +-inf as the C library does, and give
+/// NaN for a NaN (and log for a negative) argument.
+/// Agreement with the C library is measured, not guaranteed: over seeded
+/// sweeps both stay within 1 ulp of std::exp / std::log (test_loss), and
+/// the step-5 outputs of every training run measured so far matched
+/// glibc's bit for bit (CHANGES.md).
+double exp(double x);
+double log(double x);
+
+/// One row of logistic_refresh at the scalar level, before quantization:
+/// the float {g, h} pair and, when `with_loss`, the unrounded loss term
+/// (0 otherwise). gbdt::LogisticLoss's per-row calls run through this, so
+/// they follow the kernel's math bit for bit.
+struct LogisticTerms {
+  float g = 0.0f;
+  float h = 0.0f;
+  double loss = 0.0;
+};
+LogisticTerms logistic_terms(float pred, float label, bool with_loss);
 
 /// Kernel table of the active level.
 const Kernels& kernels();

@@ -3,6 +3,9 @@
 // guard reduces it to a nullptr stub and dispatch stays scalar. Every
 // helper lives in the anonymous namespace so no -mavx2-compiled body can
 // leak into other TUs through linker folding.
+// Keep a * b + c two roundings in every kernel body: see simd.h.
+#pragma GCC optimize("fp-contract=off")
+
 #include "util/simd.h"
 
 #if defined(__AVX2__)
@@ -11,6 +14,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 
 namespace booster::util::simd {
 
@@ -73,8 +77,10 @@ void avx2_zero(double* dst, std::size_t n) {
 }
 
 void avx2_quantize_gather(const float* pairs, const std::uint32_t* rows,
-                          std::size_t n, double inv_quantum, double quantum,
-                          double* qg, double* qh) {
+                          std::size_t n, std::uint32_t row_base,
+                          double inv_quantum, double quantum, double* qg,
+                          double* qh) {
+  const __m128i base = _mm_set1_epi32(static_cast<int>(row_base));
   const __m256d inv = _mm256_set1_pd(inv_quantum);
   const __m256d quant = _mm256_set1_pd(quantum);
   // Lane selectors for deinterleaving a gathered [g h g h ...] float
@@ -84,8 +90,8 @@ void avx2_quantize_gather(const float* pairs, const std::uint32_t* rows,
   constexpr int kRound = _MM_FROUND_CUR_DIRECTION | _MM_FROUND_NO_EXC;
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    const __m128i idx =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(rows + i));
+    const __m128i idx = _mm_sub_epi32(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(rows + i)), base);
     // One 8-byte gather per record fetches its whole {g, h} pair -- exactly
     // the bytes the scalar loop reads, no overread at the array tail.
     const __m256i p64 = _mm256_i32gather_epi64(
@@ -107,14 +113,15 @@ void avx2_quantize_gather(const float* pairs, const std::uint32_t* rows,
     _mm256_storeu_pd(qg + i, gq);
     _mm256_storeu_pd(qh + i, hq);
   }
-  generic_quantize_gather(pairs, rows + i, n - i, inv_quantum, quantum,
-                          qg + i, qh + i);
+  generic_quantize_gather(pairs, rows + i, n - i, row_base, inv_quantum,
+                          quantum, qg + i, qh + i);
 }
 
 const Kernels kAvx2Table = {
     Level::kAvx2,      avx2_add,         avx2_sub,
     avx2_diff,         avx2_zero,        avx2_quantize_gather,
     wide_scatter_bins, wide_prefix_sum4, generic_traverse_block,
+    logistic_refresh_lanes<4>,
     /*predict_tile=*/8,
 };
 

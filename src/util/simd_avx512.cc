@@ -1,6 +1,9 @@
 // AVX-512 kernel table. This TU (alone) is compiled with -mavx512f; without
 // the flag the __AVX512F__ guard reduces it to a nullptr stub. Anonymous
 // namespace for every body -- see simd_avx2.cc for the linkage rationale.
+// Keep a * b + c two roundings in every kernel body: see simd.h.
+#pragma GCC optimize("fp-contract=off")
+
 #include "util/simd.h"
 
 #if defined(__AVX512F__)
@@ -9,6 +12,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 
 namespace booster::util::simd {
 
@@ -74,8 +78,10 @@ void avx512_zero(double* dst, std::size_t n) {
 }
 
 void avx512_quantize_gather(const float* pairs, const std::uint32_t* rows,
-                            std::size_t n, double inv_quantum, double quantum,
-                            double* qg, double* qh) {
+                            std::size_t n, std::uint32_t row_base,
+                            double inv_quantum, double quantum, double* qg,
+                            double* qh) {
+  const __m256i base = _mm256_set1_epi32(static_cast<int>(row_base));
   const __m512d inv = _mm512_set1_pd(inv_quantum);
   const __m512d quant = _mm512_set1_pd(quantum);
   // roundscale with scale 0, MXCSR rounding mode, exceptions suppressed --
@@ -83,8 +89,8 @@ void avx512_quantize_gather(const float* pairs, const std::uint32_t* rows,
   constexpr int kRound = _MM_FROUND_CUR_DIRECTION | _MM_FROUND_NO_EXC;
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    const __m256i idx =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(rows + i));
+    const __m256i idx = _mm256_sub_epi32(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(rows + i)), base);
     // 8-byte gathers fetch each record's whole {g, h} pair; the low 32 bits
     // of each lane are g's float bits, the high 32 are h's.
     const __m512i p64 = _mm512_i32gather_epi64(idx, pairs, /*scale=*/8);
@@ -100,14 +106,15 @@ void avx512_quantize_gather(const float* pairs, const std::uint32_t* rows,
     _mm512_storeu_pd(qg + i, gq);
     _mm512_storeu_pd(qh + i, hq);
   }
-  generic_quantize_gather(pairs, rows + i, n - i, inv_quantum, quantum,
-                          qg + i, qh + i);
+  generic_quantize_gather(pairs, rows + i, n - i, row_base, inv_quantum,
+                          quantum, qg + i, qh + i);
 }
 
 const Kernels kAvx512Table = {
     Level::kAvx512,    avx512_add,       avx512_sub,
     avx512_diff,       avx512_zero,      avx512_quantize_gather,
     wide_scatter_bins, wide_prefix_sum4, generic_traverse_block,
+    logistic_refresh_lanes<8>,
     /*predict_tile=*/16,
 };
 

@@ -8,10 +8,13 @@
 // tails, categorical splits, missing values, and single-leaf trees.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <span>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -198,22 +201,223 @@ TEST(SimdKernels, QuantizeGatherBitIdenticalToScalar) {
   }
   const float* flat = reinterpret_cast<const float*>(pairs.data());
 
+  // The same rows seen from a holder whose pairs start at row kBase.
+  constexpr std::uint32_t kBase = 1000;
+  std::vector<std::uint32_t> based_rows = rows;
+  for (std::uint32_t& r : based_rows) r += kBase;
+
   for (const Level level : kWideLevels) {
     if (!level_available(level)) continue;
     const Kernels& wide = kernels(level);
     for (const std::size_t n : kLengths) {
       ASSERT_LE(n, rows.size());
       std::vector<double> qg_s(n, -1), qh_s(n, -1), qg_w(n, -2), qh_w(n, -2);
-      scalar.quantize_gather(flat, rows.data(), n, gbdt::kStatInvQuantum,
+      scalar.quantize_gather(flat, rows.data(), n, 0, gbdt::kStatInvQuantum,
                              gbdt::kStatQuantum, qg_s.data(), qh_s.data());
-      wide.quantize_gather(flat, rows.data(), n, gbdt::kStatInvQuantum,
+      wide.quantize_gather(flat, rows.data(), n, 0, gbdt::kStatInvQuantum,
                            gbdt::kStatQuantum, qg_w.data(), qh_w.data());
       EXPECT_EQ(qg_s, qg_w) << level_name(level) << " qg n=" << n;
       EXPECT_EQ(qh_s, qh_w) << level_name(level) << " qh n=" << n;
+      for (const Kernels* k : {&scalar, &wide}) {
+        std::vector<double> qg_b(n, -3), qh_b(n, -3);
+        k->quantize_gather(flat, based_rows.data(), n, kBase,
+                           gbdt::kStatInvQuantum, gbdt::kStatQuantum,
+                           qg_b.data(), qh_b.data());
+        EXPECT_EQ(qg_s, qg_b) << level_name(k->level) << " based n=" << n;
+        EXPECT_EQ(qh_s, qh_b) << level_name(k->level) << " based n=" << n;
+      }
     }
   }
 }
 
+
+// ------------------------------------------------ step-5 logistic refresh
+
+/// One logistic_refresh call's outputs.
+struct RefreshOut {
+  std::vector<float> preds;
+  std::vector<float> grads;
+  double loss = 0.0;
+};
+
+RefreshOut run_refresh(const Kernels& k, std::vector<float> preds,
+                       const std::vector<float>& deltas,
+                       const std::vector<float>& labels, bool with_loss,
+                       double inv_quantum = gbdt::kStatInvQuantum,
+                       double quantum = gbdt::kStatQuantum) {
+  RefreshOut out;
+  // Two sentinel pairs past the end catch a store beyond row n.
+  out.grads.assign(2 * preds.size() + 4, -7.0f);
+  out.loss = k.logistic_refresh(
+      preds.data(), deltas.empty() ? nullptr : deltas.data(), labels.data(),
+      preds.size(), out.grads.data(), with_loss, inv_quantum, quantum);
+  out.preds = std::move(preds);
+  return out;
+}
+
+/// Byte equality of every output (NaNs included, bit for bit).
+void expect_refresh_bits_equal(const RefreshOut& want, const RefreshOut& got,
+                               const std::string& what) {
+  ASSERT_EQ(want.preds.size(), got.preds.size()) << what;
+  ASSERT_EQ(want.grads.size(), got.grads.size()) << what;
+  for (std::size_t i = 0; i < want.preds.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(want.preds[i]),
+              std::bit_cast<std::uint32_t>(got.preds[i]))
+        << what << ": preds[" << i << "]";
+  }
+  for (std::size_t i = 0; i < want.grads.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(want.grads[i]),
+              std::bit_cast<std::uint32_t>(got.grads[i]))
+        << what << ": grads[" << i << "] " << want.grads[i] << " vs "
+        << got.grads[i];
+  }
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(want.loss),
+            std::bit_cast<std::uint64_t>(got.loss))
+      << what << ": loss " << want.loss << " vs " << got.loss;
+}
+
+/// Every level against the scalar level, with and without deltas and the
+/// loss sum.
+void expect_refresh_levels_agree(const std::vector<float>& preds,
+                                 const std::vector<float>& deltas,
+                                 const std::vector<float>& labels,
+                                 const std::string& what) {
+  const Kernels& scalar = kernels(Level::kScalar);
+  for (const bool with_deltas : {false, true}) {
+    const std::vector<float> none;
+    const std::vector<float>& d = with_deltas ? deltas : none;
+    for (const bool with_loss : {false, true}) {
+      const RefreshOut want = run_refresh(scalar, preds, d, labels, with_loss);
+      if (!with_loss) {
+        EXPECT_EQ(want.loss, 0.0) << what;
+      }
+      for (std::size_t i = 2 * preds.size(); i < want.grads.size(); ++i) {
+        ASSERT_EQ(want.grads[i], -7.0f) << what << ": store past row n";
+      }
+      for (const Level level : kWideLevels) {
+        if (!level_available(level)) continue;  // skip, never fail
+        expect_refresh_bits_equal(
+            want, run_refresh(kernels(level), preds, d, labels, with_loss),
+            what + " " + level_name(level) + (with_deltas ? " +deltas" : "") +
+                (with_loss ? " +loss" : ""));
+      }
+    }
+  }
+}
+
+/// `n` preds uniform in [lo, hi], labels drawn from {0, 1, 0.25}, deltas
+/// ~ N(0, 0.5).
+void refresh_inputs(std::size_t n, double lo, double hi, std::uint64_t seed,
+                    std::vector<float>* preds, std::vector<float>* deltas,
+                    std::vector<float>* labels) {
+  Rng rng(seed);
+  const float kLabels[] = {0.0f, 1.0f, 0.25f};
+  preds->resize(n);
+  deltas->resize(n);
+  labels->resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    (*preds)[i] = static_cast<float>(rng.uniform(lo, hi));
+    (*deltas)[i] = static_cast<float>(rng.normal() * 0.5);
+    (*labels)[i] = kLabels[rng.next_below(3)];
+  }
+}
+
+TEST(SimdKernels, LogisticRefreshSweepBitIdenticalToScalar) {
+  // ~1M preds over [-60, 60]: both saturated tails, the loss clamp
+  // (|pred| > 34.5) and the hessian floor (|pred| > 36.8).
+  std::vector<float> preds, deltas, labels;
+  refresh_inputs(1 << 20, -60.0, 60.0, 2024, &preds, &deltas, &labels);
+  expect_refresh_levels_agree(preds, deltas, labels, "sweep");
+}
+
+TEST(SimdKernels, LogisticRefreshLowBitsIdenticalToScalar) {
+  // The sweep's outputs -- float g/h and a 2^-24 loss grid -- hide a
+  // last-bit difference in exp or log, such as a multiply-add one level's
+  // build contracted into an FMA. Here labels sit at each row's own
+  // probability, y = float(sigmoid(pred)), so g = float(p - y) keeps p's
+  // low bits; and the loss goes on a 2^-45 grid in 256-row calls, which
+  // keeps the log's low bits while every call's sum stays exact (each
+  // term is below ln 2, so 256 of them stay below 2^53 quanta).
+  constexpr std::size_t kChunk = 256;
+  constexpr double kFineInv = 35184372088832.0;  // 2^45
+  constexpr double kFine = 1.0 / kFineInv;
+  Rng rng(4242);
+  const Kernels& scalar = kernels(Level::kScalar);
+  for (std::size_t chunk = 0; chunk < 1024; ++chunk) {
+    std::vector<float> preds(kChunk), labels(kChunk);
+    for (std::size_t i = 0; i < kChunk; ++i) {
+      preds[i] = static_cast<float>(rng.uniform(-20.0, 20.0));
+      labels[i] = static_cast<float>(
+          1.0 / (1.0 + std::exp(-static_cast<double>(preds[i]))));
+    }
+    const RefreshOut want =
+        run_refresh(scalar, preds, {}, labels, true, kFineInv, kFine);
+    for (const Level level : kWideLevels) {
+      if (!level_available(level)) continue;  // skip, never fail
+      expect_refresh_bits_equal(
+          want,
+          run_refresh(kernels(level), preds, {}, labels, true, kFineInv,
+                      kFine),
+          "low bits chunk " + std::to_string(chunk) + " " +
+              level_name(level));
+    }
+  }
+}
+
+TEST(SimdKernels, LogisticRefreshTailLengthsBitIdenticalToScalar) {
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 17; ++n) lengths.push_back(n);
+  lengths.push_back(4097);
+  for (const std::size_t n : lengths) {
+    std::vector<float> preds, deltas, labels;
+    refresh_inputs(n, -8.0, 8.0, 91 + n, &preds, &deltas, &labels);
+    expect_refresh_levels_agree(preds, deltas, labels,
+                                "n=" + std::to_string(n));
+  }
+}
+
+TEST(SimdKernels, LogisticRefreshEdgesBitIdenticalToScalar) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  std::vector<float> edges = {0.0f,  -0.0f,  36.0f,  -36.0f, 40.0f,
+                              -40.0f, 80.0f, -80.0f, 700.0f, -700.0f,
+                              750.0f, -750.0f, inf,  -inf};
+  // Every edge with every label, at every position of a vector.
+  std::vector<float> preds, labels;
+  for (const float y : {0.0f, 1.0f, 0.25f}) {
+    for (const float e : edges) {
+      preds.push_back(e);
+      labels.push_back(y);
+    }
+  }
+  const std::vector<float> zero_deltas(preds.size(), 0.0f);
+  expect_refresh_levels_agree(preds, zero_deltas, labels, "edges");
+
+  // The finite edges saturate the sigmoid as the C library's exp does.
+  const RefreshOut edge_out =
+      run_refresh(kernels(Level::kScalar), preds, {}, labels, true);
+  for (std::size_t i = 0; i < preds.size(); ++i) {
+    const double p = 1.0 / (1.0 + std::exp(-static_cast<double>(preds[i])));
+    EXPECT_EQ(edge_out.grads[2 * i], static_cast<float>(p - labels[i]))
+        << "pred=" << preds[i] << " y=" << labels[i];
+  }
+
+  // A NaN pred gives NaN g, h and loss, as the C library's exp/log do.
+  std::vector<float> with_nan = preds;
+  with_nan.push_back(nan);
+  std::vector<float> nan_labels = labels;
+  nan_labels.push_back(0.0f);
+  const std::vector<float> nan_deltas(with_nan.size(), 0.0f);
+  expect_refresh_levels_agree(with_nan, nan_deltas, nan_labels, "nan");
+  for (const Level level : {Level::kScalar, Level::kAvx2, Level::kAvx512}) {
+    if (!level_available(level)) continue;
+    const RefreshOut out =
+        run_refresh(kernels(level), {nan}, {}, {0.0f}, true);
+    EXPECT_TRUE(std::isnan(out.grads[0])) << level_name(level);
+    EXPECT_TRUE(std::isnan(out.grads[1])) << level_name(level);
+    EXPECT_TRUE(std::isnan(out.loss)) << level_name(level);
+  }
+}
 }  // namespace
 }  // namespace booster::util::simd
 
