@@ -35,12 +35,15 @@ BOOSTER_SIMD=scalar ctest --test-dir "$BUILD_DIR" --output-on-failure \
 # (the in-process cross-level sweeps only pin single kernels and short
 # runs to it). test_loss adds Loss::refresh against its per-row scalar
 # lane at the AVX2 level; test_simd's low-bit logistic sweep is what
-# catches a multiply-add contracted into an FMA in one level's build. On a
-# host without AVX2 the override clamps to the detected level and this leg
-# reruns that level.
+# catches a multiply-add contracted into an FMA in one level's build.
+# test_stream runs warm-start refreshes -- every one a tile-major replay
+# through the AVX2 traversal kernel -- across its threads x shards grid,
+# and test_split runs the threaded bin-chunked split scan beside the AVX2
+# prefix sums of the serial one. On a host without AVX2 the override
+# clamps to the detected level and this leg reruns that level.
 BOOSTER_SIMD=avx2 ctest --test-dir "$BUILD_DIR" --output-on-failure \
   -j "$(nproc)" \
-  -R '^(test_simd|test_loss|test_histogram|test_hotpath_equivalence|test_sharded_equivalence)$'
+  -R '^(test_simd|test_loss|test_histogram|test_hotpath_equivalence|test_sharded_equivalence|test_stream|test_split)$'
 
 # ASan+UBSan leg: RelWithDebInfo keeps it fast enough for CI while the
 # sanitizers still see every retry loop and shim. -fno-sanitize-recover
@@ -192,7 +195,7 @@ done
 # bit-identical across the (threads x shards) verification grid and every
 # hand-off landed. The scalar rerun of the warm-start determinism tests
 # proves the refresh path (including the init-model prediction replay,
-# which runs the blocked SIMD traversal) is also independent of the
+# which runs the dispatched traversal kernel) is also independent of the
 # dispatch level. (The "streaming" scenario above already ran the measured
 # streaming leg through the Scenario API under --quick, and the full
 # scalar ctest pass at the top reran test_stream with scalar kernels.)

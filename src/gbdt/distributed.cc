@@ -64,8 +64,8 @@ double initial_base_score(const BinnedDataset& data, const Loss& loss,
 /// Pre-seeds a rank's result with copies of the warm-start trees plus
 /// placeholder per-tree stats, keeping tree_stats index-aligned with
 /// model.trees() (the catch-up payload pairs trees[i] with
-/// tree_stats[i].train_loss). Every reset/rebuild path replays
-/// result.model.trees() through the shard groups afterwards, so the init
+/// tree_stats[i].train_loss). Every reset/rebuild path resets the shard
+/// groups from result.model afterwards (ShardGroup::reset), so the init
 /// trees flow into preds/gradients exactly like finished trees do.
 void seed_warm_start(TrainResult* result, const TrainerConfig& tcfg) {
   if (tcfg.init_model == nullptr) return;
@@ -193,7 +193,7 @@ TrainResult DistributedTrainer::coordinate(const BinnedDataset& data,
   const SplitFinder finder(tcfg.split);
   TrainResult result{.model = Model(base_score, make_loss(tcfg.loss))};
   // Warm start: seed the result before the first assign_tree -- the group
-  // (re)build below replays result.model.trees(), and the catch-up payload
+  // (re)build below resets from result.model, and the catch-up payload
   // ships the init trees to joiners like any finished-tree prefix.
   seed_warm_start(&result, tcfg);
 
@@ -293,10 +293,7 @@ TrainResult DistributedTrainer::coordinate(const BinnedDataset& data,
     groups.clear();
     groups.push_back(
         std::make_unique<ShardGroup>(data, tcfg, num_shards, b0, e0, &pool));
-    groups[0]->reset(*loss, base_score);
-    for (const Tree& tr : result.model.trees()) {
-      groups[0]->replay_tree(tr, *loss);
-    }
+    groups[0]->reset(*loss, result.model);
     my_begin = b0;
     my_end = e0;
   };
@@ -348,10 +345,7 @@ TrainResult DistributedTrainer::coordinate(const BinnedDataset& data,
     auto g = std::make_unique<ShardGroup>(data, tcfg, num_shards,
                                           remote.shard_begin,
                                           remote.shard_end, &pool);
-    g->reset(*loss, base_score);
-    for (const Tree& t : result.model.trees()) {
-      g->replay_tree(t, *loss);
-    }
+    g->reset(*loss, result.model);
     g->begin_tree(n);
     std::size_t replay = 0;
     while (!g->frontier_empty()) {
@@ -945,10 +939,7 @@ TrainResult DistributedTrainer::follow(const BinnedDataset& data,
       group = std::make_unique<ShardGroup>(data, tcfg, num_shards,
                                            assign.shard_begin,
                                            assign.shard_end, &pool);
-      group->reset(*loss, base_score);
-      for (const Tree& tr : result.model.trees()) {
-        group->replay_tree(tr, *loss);
-      }
+      group->reset(*loss, result.model);
       cur_begin = assign.shard_begin;
       cur_end = assign.shard_end;
     }

@@ -13,26 +13,34 @@ namespace booster::gbdt {
 static_assert(std::is_same_v<BinIndex, std::uint16_t>,
               "traverse_block assumes 16-bit bin indices");
 
-void FlatTree::assign(const Tree& tree) {
+FlatTree::FlatTree(const Tree& tree)
+    : node_(tree.num_nodes()),
+      child_(2 * static_cast<std::size_t>(tree.num_nodes())),
+      weight_(tree.num_nodes()),
+      depth_(tree.max_depth()) {
   const std::uint32_t n = tree.num_nodes();
-  left_.resize(n);
-  right_.resize(n);
-  field_.resize(n);
-  threshold_.resize(n);
-  flags_.resize(n);
-  weight_.resize(n);
+  // Children come after their parent (Tree::split_leaf appends them), so
+  // a leaf's word is written after its parent's field is known; a root
+  // leaf keeps field 0 and takes no step.
   for (std::uint32_t id = 0; id < n; ++id) {
     const TreeNode& nd = tree.node(static_cast<std::int32_t>(id));
-    left_[id] = nd.left;
-    right_[id] = nd.right;
-    field_[id] = static_cast<std::int32_t>(nd.field);
-    threshold_[id] = nd.threshold_bin;
-    flags_[id] = static_cast<std::uint8_t>(
-        (nd.is_leaf ? util::simd::kNodeLeaf : 0) |
+    weight_[id] = nd.weight;
+    if (nd.is_leaf) {
+      // Self-loop; the word keeps the parent's field (set below), so the
+      // leaf's idle steps reload a bin its parent's step just read.
+      child_[2 * id] = child_[2 * id + 1] = static_cast<std::int32_t>(id);
+      continue;
+    }
+    BOOSTER_DCHECK(nd.left > static_cast<std::int32_t>(id) &&
+                   nd.right > static_cast<std::int32_t>(id));
+    node_[id] = util::simd::pack_node(
+        nd.field, nd.threshold_bin,
         (nd.kind == PredicateKind::kCategoryEqual ? util::simd::kNodeCategorical
                                                   : 0) |
-        (nd.default_left ? util::simd::kNodeDefaultLeft : 0));
-    weight_[id] = nd.weight;
+            (nd.default_left ? util::simd::kNodeDefaultLeft : 0));
+    child_[2 * id] = nd.right;
+    child_[2 * id + 1] = nd.left;
+    node_[nd.left] = node_[nd.right] = nd.field;
   }
 }
 
@@ -50,26 +58,48 @@ std::vector<const BinIndex*> column_pointers(const BinnedDataset& data) {
   return cols;
 }
 
-void FlatEnsemble::predict_raw_many(const BinIndex* const* columns,
-                                    std::uint64_t count,
-                                    std::span<double> out) const {
-  BOOSTER_CHECK(out.size() >= count);
+namespace {
+
+/// The tile loop of FlatEnsemble::accumulate, for either accumulator.
+template <class Acc>
+void accumulate_tiles(const std::vector<FlatTree>& trees,
+                      const BinIndex* const* columns, std::uint64_t first,
+                      std::uint64_t count, Acc* acc) {
+  if (trees.empty()) return;
   const auto& ker = util::simd::kernels();
   const std::uint64_t tile = ker.predict_tile;
   double wts[util::simd::kMaxPredictTile];
   for (std::uint64_t r0 = 0; r0 < count; r0 += tile) {
     const std::size_t m = static_cast<std::size_t>(std::min(tile, count - r0));
-    double* acc = out.data() + r0;
-    for (std::size_t i = 0; i < m; ++i) acc[i] = base_score_;
-    // Tree-major over the tile: each tree's nodes are touched once per
-    // tile instead of once per record, and each record still accumulates
-    // base + w0 + w1 + ... in ensemble order -- the same additions in the
-    // same order as Model::predict_raw, hence bit-identical.
-    for (const FlatTree& t : trees_) {
-      ker.traverse_block(t.view(), columns, r0, m, wts, nullptr);
-      for (std::size_t i = 0; i < m; ++i) acc[i] += wts[i];
+    Acc* a = acc + r0;
+    for (const FlatTree& t : trees) {
+      ker.traverse_block(t.view(), columns, first + r0, m, wts);
+      for (std::size_t i = 0; i < m; ++i) a[i] += static_cast<Acc>(wts[i]);
     }
   }
+}
+
+}  // namespace
+
+void FlatEnsemble::accumulate(const BinIndex* const* columns,
+                              std::uint64_t first, std::uint64_t count,
+                              double* acc) const {
+  accumulate_tiles(trees_, columns, first, count, acc);
+}
+
+void FlatEnsemble::accumulate(const BinIndex* const* columns,
+                              std::uint64_t first, std::uint64_t count,
+                              float* acc) const {
+  accumulate_tiles(trees_, columns, first, count, acc);
+}
+
+void FlatEnsemble::predict_raw_many(const BinIndex* const* columns,
+                                    std::uint64_t count,
+                                    std::span<double> out) const {
+  BOOSTER_CHECK(out.size() >= count);
+  std::fill(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(count),
+            base_score_);
+  accumulate(columns, 0, count, out.data());
 }
 
 void FlatEnsemble::predict_many(const BinIndex* const* columns,

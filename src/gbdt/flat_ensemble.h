@@ -1,16 +1,23 @@
 // Flattened node-array ensemble layout for bulk prediction -- the serving
-// mirror of the row-major training kernel. FlatTree re-encodes one Tree's
-// node table as SoA arrays (children / field / threshold / flags / weight
-// in separate contiguous vectors), which is the layout the blocked
-// traversal kernel (util::simd::Kernels::traverse_block) consumes: a tile
-// of records advances through the tree level-synchronously, so the tile's
-// bin loads overlap and the tree's upper nodes stay hot across records and
-// trees -- the approach LightGBM's prediction path takes.
+// mirror of the row-major training kernel, and the warm-start replay's.
+// FlatTree re-encodes one Tree's node table in fixed-depth form
+// (util::simd::FlatTreeView): one 64-bit word per node holding the field,
+// the threshold bin and the predicate flags; a child pair per node at
+// 2 * node + goes_left (right, then left), with each leaf's pair pointing
+// at the leaf itself; the leaf weights; and the tree's depth, its deepest
+// leaf's. Every record then reaches its leaf in exactly `depth` steps,
+// which is what lets the traversal kernel (util::simd::Kernels::
+// traverse_block) step a whole tile of records at once with gathers.
 //
-// predict_many is bit-identical to per-record Model::predict at every
-// SIMD dispatch level and tile width: traversal is pure routing, and each
-// record's score is accumulated in the same order (base score, then trees
-// in ensemble order) as Model::predict_raw.
+// The tile loop (FlatEnsemble::accumulate) is tile-major: every tree runs
+// on one tile of records before the next tile starts, so the tile's bins
+// stay in cache while the ensemble's node tables stream past, and each
+// record still adds w0, w1, ... in ensemble order. Serving accumulates in
+// double from the base score -- the additions Model::predict_raw makes,
+// so predict_many is bit-identical to per-record Model::predict at every
+// SIMD dispatch level and tile width. The warm-start replay
+// (ShardGroup::reset) accumulates in float, (float)w per tree, the adds
+// its per-tree refresh made.
 #pragma once
 
 #include <cstdint>
@@ -23,33 +30,22 @@
 
 namespace booster::gbdt {
 
-/// SoA node table of one tree. Reusable: assign() re-encodes into the same
-/// buffers, so per-tree re-flattening (the trainer's step-5 use) is
-/// allocation-free once capacity is warm.
+/// Fixed-depth node table of one tree (see the header comment).
 class FlatTree {
  public:
-  FlatTree() = default;
-  explicit FlatTree(const Tree& tree) { assign(tree); }
+  explicit FlatTree(const Tree& tree);
 
-  /// Re-encodes `tree` into this FlatTree, reusing buffer capacity.
-  void assign(const Tree& tree);
-
-  std::uint32_t num_nodes() const {
-    return static_cast<std::uint32_t>(flags_.size());
-  }
+  std::uint32_t depth() const { return depth_; }
 
   util::simd::FlatTreeView view() const {
-    return {left_.data(),      right_.data(), field_.data(),
-            threshold_.data(), flags_.data(), weight_.data()};
+    return {node_.data(), child_.data(), weight_.data(), depth_};
   }
 
  private:
-  std::vector<std::int32_t> left_;
-  std::vector<std::int32_t> right_;
-  std::vector<std::int32_t> field_;
-  std::vector<std::uint16_t> threshold_;
-  std::vector<std::uint8_t> flags_;  // util::simd::kNode* bits
+  std::vector<std::uint64_t> node_;  // util::simd::pack_node words
+  std::vector<std::int32_t> child_;  // 2 per node: right, left
   std::vector<double> weight_;
+  std::uint32_t depth_ = 0;
 };
 
 /// A whole trained ensemble in flat SoA form, plus the blocked bulk
@@ -63,7 +59,6 @@ class FlatEnsemble {
     return static_cast<std::uint32_t>(trees_.size());
   }
   double base_score() const { return base_score_; }
-  const std::vector<FlatTree>& trees() const { return trees_; }
 
   /// Raw (untransformed) scores for records [begin, end); out receives
   /// end - begin values. Bit-identical to Model::predict_raw per record.
@@ -89,6 +84,15 @@ class FlatEnsemble {
   void predict_many(const BinIndex* const* columns, std::uint64_t count,
                     std::span<double> out) const;
 
+  /// The tile loop: for records [first, first + count) of the columns,
+  /// acc[i] += w_t(first + i) for every tree t in ensemble order (no base
+  /// score). The double form adds the weights as they are; the float form
+  /// adds static_cast<float>(w_t) -- the warm-start replay's predictions.
+  void accumulate(const BinIndex* const* columns, std::uint64_t first,
+                  std::uint64_t count, double* acc) const;
+  void accumulate(const BinIndex* const* columns, std::uint64_t first,
+                  std::uint64_t count, float* acc) const;
+
  private:
   std::vector<FlatTree> trees_;
   double base_score_ = 0.0;
@@ -96,7 +100,7 @@ class FlatEnsemble {
 };
 
 /// Per-field column base pointers of `data` -- the bin-lookup table the
-/// blocked traversal kernel consumes. Rebuild after the dataset moves.
+/// traversal kernel consumes. Rebuild after the dataset moves.
 std::vector<const BinIndex*> column_pointers(const BinnedDataset& data);
 
 }  // namespace booster::gbdt

@@ -174,19 +174,24 @@ void scatter_leaf_deltas(std::span<const LeafSpan> leaves,
                          std::span<const std::uint32_t> arena,
                          std::uint64_t b, std::uint64_t e,
                          std::uint64_t row_base, std::span<float> delta) {
-  // First leaf ending after b; spans are in position order, so their ends
-  // are non-decreasing.
-  auto it = std::partition_point(
-      leaves.begin(), leaves.end(),
-      [b](const LeafSpan& leaf) { return leaf.end <= b; });
-  const std::uint32_t* rows = arena.data();
-  for (; it != leaves.end() && it->begin < e; ++it) {
-    const float d = it->delta;
-    const std::uint64_t end = std::min(it->end, e);
-    for (std::uint64_t i = std::max(it->begin, b); i < end; ++i) {
-      delta[rows[i] - row_base] = d;
+  // The leaves hold distinct rows, so e - b writes, each inside [b, e),
+  // cover every row of the range exactly once. A span out of row order
+  // breaks the binary search and fails one of the two.
+  std::uint64_t written = 0;
+  bool outside = false;
+  for (const LeafSpan& leaf : leaves) {
+    const auto span = arena.subspan(leaf.begin, leaf.end - leaf.begin);
+    const auto lo = std::lower_bound(span.begin(), span.end(), b);
+    const auto hi = std::lower_bound(lo, span.end(), e);
+    const float d = leaf.delta;
+    for (auto it = lo; it != hi; ++it) {
+      outside |= *it - b >= e - b;
+      delta[*it - row_base] = d;
     }
+    written += static_cast<std::uint64_t>(hi - lo);
   }
+  BOOSTER_CHECK_MSG(!outside && written == e - b,
+                    "leaf spans do not ascend in row id");
 }
 
 }  // namespace booster::gbdt

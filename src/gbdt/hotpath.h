@@ -117,8 +117,8 @@ void partition_to(std::span<const std::uint32_t> src,
 struct LeafSpan {
   std::uint64_t begin = 0;
   std::uint64_t end = 0;
-  /// static_cast<float>(leaf weight): the value the blocked traversal adds
-  /// to the record's float prediction.
+  /// static_cast<float>(leaf weight): the value a traversal of the tree
+  /// adds to the record's float prediction.
   float delta = 0.0f;
   std::int32_t tree_node = 0;
   std::int32_t depth = 0;
@@ -129,10 +129,16 @@ struct LeafSpan {
 /// the same integer the traversal of the tree over those rows counts.
 std::uint64_t order_leaf_spans(std::span<LeafSpan> leaves, std::uint64_t rows);
 
-/// Writes each leaf's delta to its records for arena positions [b, e):
-/// delta[arena[i] - row_base] = leaf.delta. `leaves` must be in position
-/// order (order_leaf_spans). Every record is written exactly once, so
-/// disjoint [b, e) ranges may run concurrently.
+/// Writes each leaf's delta to its records whose row ids lie in [b, e):
+/// delta[row - row_base] = leaf.delta. Every leaf's span of `arena` holds
+/// ascending row ids -- the arena starts in row order and the step-3
+/// partition is stable, so every node span ascends (ShardGroup::finish_tree
+/// DCHECKs each whole leaf span) -- which makes each leaf's rows in [b, e)
+/// one sub-span, found by binary search. The leaves tile the arena, so
+/// every record in [b, e) is written exactly once; that is checked in
+/// every build, so a span out of order aborts rather than skip rows.
+/// Disjoint row ranges may run concurrently, each writing only its own
+/// rows.
 void scatter_leaf_deltas(std::span<const LeafSpan> leaves,
                          std::span<const std::uint32_t> arena,
                          std::uint64_t b, std::uint64_t e,

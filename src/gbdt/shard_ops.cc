@@ -104,13 +104,20 @@ double ShardGroup::refresh_rows(const Loss& loss, std::uint64_t begin,
       std::span<GradientPair>(gradients_).subspan(first, count), with_loss);
 }
 
-void ShardGroup::reset(const Loss& loss, double base_score) {
+void ShardGroup::reset(const Loss& loss, const Model& model) {
   if (num_local() == 0) return;
-  std::fill(preds_.begin(), preds_.end(), static_cast<float>(base_score));
+  const FlatEnsemble flat(model);
+  const float base = static_cast<float>(model.base_score());
   pool_->run_tasks(num_local() * sub_, [&](unsigned task) {
     const Shard& sh = shards_[task / sub_];
     const auto [b, e] =
         chunk_range(sh.row_begin, sh.row_end, task % sub_, sub_);
+    // Tile-major over the chunk: every tree on one tile of rows, each row
+    // adding (float)w tree by tree -- the float adds a refresh per tree
+    // would make -- then one refresh for the whole chunk.
+    float* preds = preds_.data() + (b - row_base_);
+    std::fill(preds, preds + (e - b), base);
+    flat.accumulate(col_ptrs_.data(), b, e - b, preds);
     refresh_rows(loss, b, e, /*add_deltas=*/false, /*with_loss=*/false);
   });
 }
@@ -347,22 +354,24 @@ void ShardGroup::finish_tree(const Tree& tree, const Loss& loss, double* hops,
       BOOSTER_CHECK_MSG(node.is_leaf && node.depth == leaf.depth,
                         "finished tree differs from the one grown here");
       leaf.delta = static_cast<float>(node.weight);
+      // The scatter below binary-searches each leaf span by row id, so a
+      // span out of order would silently skip rows.
+      BOOSTER_DCHECK(std::is_sorted(sh.arena.data() + leaf.begin,
+                                    sh.arena.data() + leaf.end));
     }
     hop_total += order_leaf_spans(sh.leaves, sh.num_rows());
   }
-  // Phase 1 scatters deltas over each shard's arena positions, phase 2 is
-  // the dense pass over each shard's rows, one Loss::refresh per chunk;
-  // both over the flattened (shard, sub-chunk) task grid.
-  pool_->run_tasks(local * sub_, [&](unsigned task) {
-    const Shard& sh = shards_[task / sub_];
-    const auto [b, e] = chunk_range(0, sh.num_rows(), task % sub_, sub_);
-    scatter_leaf_deltas(sh.leaves, sh.arena, b, e, row_base_, deltas_);
-  });
+  // One pass per (shard, sub-chunk) of rows [b, e): each leaf's delta
+  // goes to the leaf's rows in [b, e) -- a sub-span of the leaf's arena
+  // span, found by binary search since spans ascend in row id -- then one
+  // Loss::refresh covers the same rows. Each task writes only its own
+  // rows' deltas, so threads share a line of deltas_ only at chunk edges.
   const bool with_loss = quantized_loss != nullptr;
   pool_->run_tasks(local * sub_, [&](unsigned task) {
     const Shard& sh = shards_[task / sub_];
     const auto [b, e] =
         chunk_range(sh.row_begin, sh.row_end, task % sub_, sub_);
+    scatter_leaf_deltas(sh.leaves, sh.arena, b, e, row_base_, deltas_);
     chunk_losses_[task] =
         refresh_rows(loss, b, e, /*add_deltas=*/true, with_loss);
   });
@@ -374,32 +383,6 @@ void ShardGroup::finish_tree(const Tree& tree, const Loss& loss, double* hops,
   }
   if (hops != nullptr) *hops = static_cast<double>(hop_total);
   if (quantized_loss != nullptr) *quantized_loss = loss_total;
-}
-
-void ShardGroup::replay_tree(const Tree& tree, const Loss& loss) {
-  const std::uint32_t local = num_local();
-  if (local == 0) return;
-  flat_.assign(tree);
-  const auto& ker = util::simd::kernels();
-  pool_->run_tasks(local * sub_, [&](unsigned task) {
-    const Shard& sh = shards_[task / sub_];
-    const auto [b, e] =
-        chunk_range(sh.row_begin, sh.row_end, task % sub_, sub_);
-    double wts[util::simd::kMaxPredictTile];
-    const util::simd::FlatTreeView view = flat_.view();
-    // Blocked SIMD traversal writes each row's leaf weight into deltas_
-    // (pure routing, identical at every dispatch level); then one refresh
-    // applies them, as finish_tree's dense pass does.
-    for (std::uint64_t r0 = b; r0 < e; r0 += ker.predict_tile) {
-      const std::size_t m = static_cast<std::size_t>(
-          std::min<std::uint64_t>(ker.predict_tile, e - r0));
-      ker.traverse_block(view, col_ptrs_.data(), r0, m, wts, nullptr);
-      for (std::size_t i = 0; i < m; ++i) {
-        deltas_[r0 + i - row_base_] = static_cast<float>(wts[i]);
-      }
-    }
-    refresh_rows(loss, b, e, /*add_deltas=*/true, /*with_loss=*/false);
-  });
 }
 
 std::vector<ShardHotPathStats> ShardGroup::shard_stats() const {

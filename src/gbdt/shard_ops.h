@@ -28,6 +28,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <span>
 #include <vector>
 
 #include "gbdt/binning.h"
@@ -72,10 +73,17 @@ class ShardGroup {
   /// node's span is small (see the header comment).
   std::uint32_t sub_chunks() const { return sub_; }
 
-  /// Resets prediction/gradient state for the owned rows to the ensemble
-  /// base score. Call once before the first tree (and when an adopted
-  /// group starts catching up).
-  void reset(const Loss& loss, double base_score);
+  /// Sets the owned rows' predictions to `model`'s output and refreshes
+  /// their gradients: the start of training (a model with no trees yet),
+  /// a warm start (the init model's trees), and a rebuilt, adopted or
+  /// joining group catching up to the trees finished so far. The model is
+  /// flattened once; each (shard, sub-chunk) task then walks its rows
+  /// tile-major through FlatEnsemble::accumulate -- every tree on one tile
+  /// of rows, pred += (float)w in tree order from (float)base_score, the
+  /// float adds a per-tree refresh makes -- and ends with one
+  /// Loss::refresh, so predictions and gradients equal those of replaying
+  /// the trees one refresh at a time, bit for bit.
+  void reset(const Loss& loss, const Model& model);
 
   // --- tree growth (all groups must see the same call sequence) ---
 
@@ -110,21 +118,21 @@ class ShardGroup {
 
   /// Step 5 for the owned rows of the tree this group just grew (the
   /// frontier must be drained; `tree` is the training loop's copy, whose
-  /// node ids the group mirrors): scatter each leaf's delta to the rows of
-  /// its arena spans, then update predictions, refresh gradients and sum
-  /// the quantized per-record loss terms in one dense pass, one
-  /// Loss::refresh per chunk (chunk partials reduced in chunk order --
-  /// exact, see histogram.h; skipped when `quantized_loss` is null).
+  /// node ids the group mirrors): one pass per (shard, sub-chunk) of rows
+  /// writes each leaf's delta to the chunk's rows of its arena spans, then
+  /// updates their predictions, refreshes their gradients and sums their
+  /// quantized loss terms with one Loss::refresh (chunk partials reduced in
+  /// chunk order -- exact, see histogram.h; skipped when `quantized_loss`
+  /// is null).
   /// `hops` receives sum(leaf depth x span rows), the integer a traversal
   /// would count.
   void finish_tree(const Tree& tree, const Loss& loss, double* hops,
                    double* quantized_loss);
 
-  /// Step 5 for a tree that was not grown on these rows (warm-start init
-  /// trees, catch-up and adoption replay): the blocked SIMD traversal
-  /// writes each row's leaf weight into the delta scratch, then one
-  /// Loss::refresh per chunk applies it with finish_tree's arithmetic.
-  void replay_tree(const Tree& tree, const Loss& loss);
+  /// Step-5 state of the owned rows, indexed by row - the group's first
+  /// row: predictions and gradient pairs.
+  std::span<const float> predictions() const { return preds_; }
+  std::span<const GradientPair> gradients() const { return gradients_; }
 
   /// Per-shard diagnostics (rows, pool counters, arena bytes, sub-chunk
   /// count), in local shard order.
@@ -207,11 +215,9 @@ class ShardGroup {
   std::vector<GradientPair> gradients_;
   std::vector<float> deltas_;
 
-  /// Per-field column base pointers for the blocked traversal kernel
-  /// (fixed for the dataset's lifetime) and the FlatTree scratch it
-  /// consumes, re-encoded once per replayed tree (allocation-free warm).
+  /// Per-field column base pointers for reset's traversal (fixed for the
+  /// dataset's lifetime).
   std::vector<const BinIndex*> col_ptrs_;
-  FlatTree flat_;
 
   std::deque<Node> frontier_;
   /// Id the next Tree::split_leaf left child gets (see Node::tree_node).

@@ -96,11 +96,10 @@ void SplitFinder::scan_categorical(std::uint32_t field,
 }
 
 void SplitFinder::scan_fields(const Histogram& hist, const BinnedDataset& data,
-                              const BinStats& totals, std::uint32_t begin,
-                              std::uint32_t end,
+                              const BinStats& totals,
                               std::optional<SplitInfo>& best,
                               std::uint64_t& scanned) const {
-  for (std::uint32_t f = begin; f < end; ++f) {
+  for (std::uint32_t f = 0; f < hist.num_fields(); ++f) {
     const auto bins = hist.field(f);
     if (bins.size() <= 1) continue;
     if (data.field_bins(f).kind == FieldKind::kNumeric) {
@@ -165,42 +164,17 @@ std::optional<SplitInfo> SplitFinder::find_best(
 std::optional<SplitInfo> SplitFinder::find_best(
     const Histogram& hist, const BinnedDataset& data, util::ThreadPool* pool,
     std::uint64_t* bins_scanned) const {
-  const std::uint32_t num_fields = hist.num_fields();
   const BinStats totals = hist.totals();
-  unsigned chunks =
-      pool != nullptr ? pool->num_chunks(num_fields, kSplitScanGrain) : 1;
-
-  // Field chunks are balanced only when no single field dwarfs a fair
-  // per-thread share of the bins; one dominating categorical field
-  // (ROADMAP "chunk by bins") would serialize the scan into its chunk --
-  // or, with only 2-3 fields, prevent field-parallelism entirely. Switch
-  // to bin-granular chunks in that case (checked before the field-chunk
-  // fallback so few-field/huge-field histograms still parallelize). Both
-  // paths are serial-identical, so which one runs never changes the
-  // result.
-  bool by_bins = false;
-  std::uint64_t total_bins = 0;
-  if (pool != nullptr) {
-    total_bins = hist.total_bins();
-    std::uint64_t max_field_bins = 0;
-    for (std::uint32_t f = 0; f < num_fields; ++f) {
-      max_field_bins = std::max<std::uint64_t>(max_field_bins,
-                                               hist.field(f).size());
-    }
-    const unsigned threads = std::max(1u, pool->num_threads());
-    const unsigned bin_chunks =
-        pool->num_chunks(total_bins, kSplitScanBinGrain);
-    const bool dominated = max_field_bins > 2 * total_bins / threads;
-    if (dominated && bin_chunks > 1) {
-      by_bins = true;
-      chunks = bin_chunks;
-    }
-  }
-
+  const std::uint64_t total_bins = hist.total_bins();
+  // Threaded scans chunk the global bin index space, so chunks stay
+  // balanced whatever the fields' bin counts (one huge categorical field,
+  // or only 2-3 fields, would leave field chunks idle).
+  const unsigned chunks =
+      pool != nullptr ? pool->num_chunks(total_bins, kSplitScanBinGrain) : 1;
   if (chunks <= 1) {
     std::optional<SplitInfo> best;
     std::uint64_t scanned = 0;
-    scan_fields(hist, data, totals, 0, num_fields, best, scanned);
+    scan_fields(hist, data, totals, best, scanned);
     if (bins_scanned != nullptr) *bins_scanned = scanned;
     return best;
   }
@@ -209,33 +183,28 @@ std::optional<SplitInfo> SplitFinder::find_best(
   // capacity (chunks never exceed the pool's thread count), so warm
   // threaded scans allocate nothing. The workers reach it through these
   // references -- naming a thread_local inside the chunk body would give
-  // each worker its own.
+  // each worker its own. Each chunk keeps its running best in a local and
+  // stores it once: the entries share cache lines, and a store per
+  // improvement made the chunks contend for them.
   static thread_local std::vector<std::optional<SplitInfo>> best_storage;
   static thread_local std::vector<std::uint64_t> scanned_storage;
   std::vector<std::optional<SplitInfo>>& chunk_best = best_storage;
   std::vector<std::uint64_t>& chunk_scanned = scanned_storage;
-  chunk_best.assign(chunks, std::nullopt);
-  chunk_scanned.assign(chunks, 0);
-  if (by_bins) {
-    pool->parallel_for(0, total_bins, kSplitScanBinGrain,
-                       [&](std::uint64_t begin, std::uint64_t end,
-                           unsigned c) {
-                         scan_bin_range(hist, data, totals, begin, end,
-                                        chunk_best[c], chunk_scanned[c]);
-                       });
-  } else {
-    pool->parallel_for(
-        0, num_fields, kSplitScanGrain,
-        [&](std::uint64_t begin, std::uint64_t end, unsigned c) {
-          scan_fields(hist, data, totals, static_cast<std::uint32_t>(begin),
-                      static_cast<std::uint32_t>(end), chunk_best[c],
-                      chunk_scanned[c]);
-        });
-  }
+  chunk_best.resize(chunks);
+  chunk_scanned.resize(chunks);
+  pool->parallel_for(0, total_bins, kSplitScanBinGrain,
+                     [&](std::uint64_t begin, std::uint64_t end, unsigned c) {
+                       std::optional<SplitInfo> best;
+                       std::uint64_t scanned = 0;
+                       scan_bin_range(hist, data, totals, begin, end, best,
+                                      scanned);
+                       chunk_best[c] = best;
+                       chunk_scanned[c] = scanned;
+                     });
 
   // Merge in chunk order with strict > : keeps the earliest maximum, which
-  // is exactly the serial scan's tie-breaking (fields -- or bins -- scan
-  // in order within each chunk, and chunks cover them in order).
+  // is exactly the serial scan's tie-breaking (bins scan in order within
+  // each chunk, and chunks cover them in order).
   std::optional<SplitInfo> best;
   std::uint64_t scanned = 0;
   for (unsigned c = 0; c < chunks; ++c) {

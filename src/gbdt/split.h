@@ -22,14 +22,8 @@ class ThreadPool;
 
 namespace booster::gbdt {
 
-/// Minimum fields per chunk before the split scan goes parallel; a chunk
-/// needs enough bins to amortize the fork/join (wide categorical fields
-/// dominate either way, so a small grain suffices).
-inline constexpr std::uint64_t kSplitScanGrain = 2;
-
-/// Minimum bins per chunk for the bin-granular scan that kicks in when one
-/// field's bin count dominates the histogram (a huge categorical field
-/// would otherwise serialize the whole scan into its chunk).
+/// Minimum bins per chunk of the threaded split scan, which chunks the
+/// histogram's global bin index space (see SplitFinder::find_best).
 inline constexpr std::uint64_t kSplitScanBinGrain = 128;
 
 struct SplitConfig {
@@ -91,30 +85,26 @@ class SplitFinder {
                                      const BinnedDataset& data,
                                      std::uint64_t* bins_scanned = nullptr) const;
 
-  /// Threaded variant: fields are scanned in parallel chunks over `pool`
-  /// (nullptr or a 1-thread pool falls back to the serial scan). The result
-  /// is identical to the serial scan at every thread count: chunks are
-  /// contiguous ranges scanned in field order, and per-chunk bests merge in
-  /// chunk order keeping the first maximum -- the serial first-max-wins
-  /// tie-breaking, bit for bit. Chunks are normally whole-field ranges;
-  /// when one field's bin count dwarfs a fair per-thread share (a huge
-  /// categorical field -- including the 2-3-field histograms where field
-  /// granularity cannot parallelize at all), the scan chunks by *bins*
-  /// instead: chunks cover contiguous ranges of the global bin index
-  /// space, and a chunk entering a numeric field mid-way first replays the
-  /// field's left-prefix accumulation up to its start bin -- the same
-  /// additions in the same order, so candidate gains stay bit-identical to
-  /// the serial scan.
+  /// Threaded variant: the scan runs in parallel chunks over `pool`
+  /// (nullptr, a 1-thread pool or a histogram under two chunks' worth of
+  /// bins falls back to the serial scan). Chunks cover contiguous ranges of
+  /// the global bin index space, so they stay balanced whatever the
+  /// fields' bin counts; a chunk entering a numeric field mid-way first
+  /// replays the field's left-prefix accumulation up to its start bin --
+  /// the same additions in the same order, so candidate gains stay
+  /// bit-identical to the serial scan. Per-chunk bests merge in chunk
+  /// order keeping the first maximum -- the serial first-max-wins
+  /// tie-breaking -- so the result equals the serial scan's at every
+  /// thread count.
   std::optional<SplitInfo> find_best(const Histogram& hist,
                                      const BinnedDataset& data,
                                      util::ThreadPool* pool,
                                      std::uint64_t* bins_scanned = nullptr) const;
 
  private:
-  /// Serial scan of fields [begin, end) (the per-chunk body).
+  /// Serial scan of every field, in field order.
   void scan_fields(const Histogram& hist, const BinnedDataset& data,
-                   const BinStats& totals, std::uint32_t begin,
-                   std::uint32_t end, std::optional<SplitInfo>& best,
+                   const BinStats& totals, std::optional<SplitInfo>& best,
                    std::uint64_t& scanned) const;
 
   /// Serial scan of the global bin index range [begin, end) -- the

@@ -61,11 +61,11 @@ struct TrainerConfig {
   /// scratch. The base score and loss come from the init model (the
   /// config's `loss` must name the same loss), its trees are copied into
   /// the result, and gradients are re-seeded by replaying them through the
-  /// blocked SIMD traversal with the per-record arithmetic of step 5 -- so
-  /// a warm-started run is bit-identical across threads, shards, and SIMD
-  /// levels exactly like a cold one. `num_trees` counts *additional* trees
-  /// on top of the init model. Non-owning: the caller keeps the model
-  /// alive through train().
+  /// fixed-depth traversal kernel with the per-record arithmetic of step 5
+  /// (ShardGroup::reset) -- so a warm-started run is bit-identical across
+  /// threads, shards, and SIMD levels exactly like a cold one. `num_trees`
+  /// counts *additional* trees on top of the init model. Non-owning: the
+  /// caller keeps the model alive through train().
   const Model* init_model = nullptr;
 };
 

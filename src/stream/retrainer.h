@@ -9,9 +9,13 @@
 //
 // Refreshes are deterministic: the same chunk sequence produces
 // bit-identical models at every refresh for any (threads, shards) pairing
-// -- the warm-start replay runs the same blocked step-5 traversal the
-// trainers use, and histogram accumulation is quantized-exact
-// (tests/test_stream.cc asserts the full {1,8} x {1,3} grid).
+// -- the warm-start replay (gbdt::ShardGroup::reset) walks the window
+// tile-major through the fixed-depth traversal kernel, whose routing is
+// integer compares, adds every earlier tree's float weight in tree order
+// and refreshes gradients once, and histogram accumulation is
+// quantized-exact (tests/test_stream.cc asserts the full {1,8} x {1,3}
+// grid). The replay's cost grows with the generation's tree count: each
+// refresh re-derives the window's predictions from the whole ensemble.
 #pragma once
 
 #include <cstdint>

@@ -20,7 +20,7 @@ const Kernels kScalarTable = {
     generic_diff,         generic_zero,        generic_quantize_gather,
     generic_scatter_bins, generic_prefix_sum4, generic_traverse_block,
     logistic_refresh_lanes<1>,
-    /*predict_tile=*/4,
+    /*predict_tile=*/16,
 };
 
 const Kernels* table_or_null(Level level) {

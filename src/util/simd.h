@@ -81,24 +81,53 @@ class ScopedLevelForTesting {
   Level prev_;
 };
 
-/// Upper bound on Kernels::predict_tile -- callers size their per-tile
-/// stack buffers with this.
-inline constexpr std::size_t kMaxPredictTile = 16;
+/// Upper bound on Kernels::predict_tile and on traverse_block's count --
+/// callers size their per-tile stack buffers with this.
+inline constexpr std::size_t kMaxPredictTile = 32;
 
-/// SoA view of one decision tree's node table (gbdt::FlatTree owns the
-/// arrays). Raw pointers keep the util layer free of gbdt types.
+/// Predicate flags of a packed node (FlatTreeView::node, bits 48..).
+inline constexpr std::uint32_t kNodeCategorical = 1;  // predicate: bin == thr
+inline constexpr std::uint32_t kNodeDefaultLeft = 2;  // missing goes left
+
+/// One node of a FlatTreeView in 64 bits: the field in the low word, the
+/// threshold bin and the flags in the high word (threshold | flags << 16),
+/// so one 64-bit load -- one gather lane -- fetches a node's predicate.
+constexpr std::uint64_t pack_node(std::uint32_t field, std::uint16_t threshold,
+                                  std::uint32_t flags) {
+  return field | static_cast<std::uint64_t>(threshold | (flags << 16)) << 32;
+}
+
+/// The routes_left rule (gbdt/split.h) on a packed node's high word:
+/// missing (bin 0) follows the learned default; categorical matches,
+/// numeric thresholds. The scalar steps of traverse_block use this; the
+/// wide steps compute it with lane compares.
+constexpr bool node_goes_left(std::uint32_t predicate, std::uint32_t bin) {
+  const std::uint32_t threshold = predicate & 0xffffu;
+  const std::uint32_t flags = predicate >> 16;
+  if (bin == 0) return (flags & kNodeDefaultLeft) != 0;
+  return (flags & kNodeCategorical) != 0 ? bin == threshold
+                                         : bin <= threshold;
+}
+
+/// SoA view of one decision tree's node table in fixed-depth form
+/// (gbdt::FlatTree owns the arrays). Raw pointers keep the util layer free
+/// of gbdt types.
+///   * node[n]: pack_node(field, threshold, flags) of node n;
+///   * child[2n + goes_left]: the node a record at n moves to -- right at
+///     2n, left at 2n + 1. A leaf's pair points at the leaf itself, so a
+///     record that reached it stays put;
+///   * weight[n]: the leaf weight (read at leaves only);
+///   * depth: the deepest leaf's depth. `depth` steps from the root bring
+///     every record to its leaf, whatever the tree's shape.
+/// A leaf's node word names a field the tree's splits use (its parent's),
+/// so its idle steps load a bin the kernel may read; the root leaf of a
+/// depth-0 tree takes no step at all.
 struct FlatTreeView {
-  const std::int32_t* left = nullptr;
-  const std::int32_t* right = nullptr;
-  const std::int32_t* field = nullptr;
-  const std::uint16_t* threshold = nullptr;
-  const std::uint8_t* flags = nullptr;  // kNode* bits below
+  const std::uint64_t* node = nullptr;
+  const std::int32_t* child = nullptr;
   const double* weight = nullptr;
+  std::uint32_t depth = 0;
 };
-
-inline constexpr std::uint8_t kNodeLeaf = 1;         // node is a leaf
-inline constexpr std::uint8_t kNodeCategorical = 2;  // predicate: bin == thr
-inline constexpr std::uint8_t kNodeDefaultLeft = 4;  // missing goes left
 
 /// One dispatch level's kernel table. All array kernels except
 /// scatter_bins are elementwise and alignment-agnostic (the histogram
@@ -111,7 +140,10 @@ inline constexpr std::uint8_t kNodeDefaultLeft = 4;  // missing goes left
 ///   quantize_gather   | Histogram::build stage 1     | loop   | gather+round
 ///   scatter_bins      | Histogram::build stage 2     | 3 adds | 1 lane RMW
 ///   prefix_sum4       | SplitFinder::scan_numeric    | 4 sums | 1 lane add
-///   traverse_block    | FlatEnsemble::predict_many   | one shared body
+///   traverse_block    | FlatEnsemble tile loop       | 1 lane | AVX-512:
+///                     | (serving, warm-start replay) | steps  | 16-lane gather
+///                     |                              |        | steps; AVX2:
+///                     |                              |        | scalar steps
 ///   logistic_refresh  | LogisticLoss::refresh        | 1 lane | 4/8 lanes
 ///                     | (step 5)                     | one shared body
 struct Kernels {
@@ -163,17 +195,30 @@ struct Kernels {
   /// through this on a histogram field's value bins.
   void (*prefix_sum4)(const double* src, std::size_t n, double* dst);
 
-  /// Level-synchronous blocked traversal: records [first_record,
-  /// first_record + count) advance one tree level per sweep across the
-  /// whole tile (count <= kMaxPredictTile), so each lane's pending bin load
-  /// overlaps the others'. columns[f] is field f's bin column. Writes each
-  /// record's leaf weight and, when `hops` is non-null, its path length.
-  /// Pure routing (integer compares + a weight copy): identical output at
+  /// Fixed-depth blocked traversal: records [first_record, first_record +
+  /// count) of the columns (columns[f][r] is record r's bin of field f;
+  /// 1 <= count <= kMaxPredictTile) all start at the root and take exactly
+  /// tree.depth steps, node = child[2 * node + goes_left], with no branch
+  /// on the tree's shape; weights[i] then receives the weight of record
+  /// first_record + i's leaf. AVX-512 takes each step for a whole tile at
+  /// once with gathers (node word, column base, bin, child), in groups of
+  /// 16 lanes; a tile shorter than its groups repeats its last record in
+  /// the spare lanes and drops their results. The scalar level takes the
+  /// same steps one lane at a time; it is the reference, and the AVX2
+  /// table runs it too (an 8-lane AVX2 step, whose 64-bit gathers fetch
+  /// four lanes each, measured slower than 16 scalar lanes). Routing is
+  /// integer compares and a weight copy, so the output is identical at
   /// every level by construction.
+  /// Over-read rule: only bins of the call's own records are read, as
+  /// the last of them may be the last element of its column. A 32-bit
+  /// gather of a 16-bit bin reads two bins, so lane i >= 1 loads the pair
+  /// that ends at its bin (records r - 1 and r, both in the call) and lane
+  /// 0 the pair that starts at it (records r and r + 1); a one-record call
+  /// runs the scalar steps.
   void (*traverse_block)(const FlatTreeView& tree,
                          const std::uint16_t* const* columns,
                          std::uint64_t first_record, std::size_t count,
-                         double* weights, std::uint32_t* hops);
+                         double* weights);
 
   /// Step 5's logistic refresh of n rows (LogisticLoss::refresh). For i in
   /// [0, n):
@@ -196,8 +241,10 @@ struct Kernels {
                              float* grads, bool with_loss,
                              double inv_quantum, double quantum);
 
-  /// Preferred record-tile width for blocked prediction at this level.
-  unsigned predict_tile = 4;
+  /// Record-tile width the tile loop hands traverse_block at this level:
+  /// 16 scalar lanes (scalar and AVX2), two 16-lane groups at AVX-512 --
+  /// enough independent chains to overlap their load latency.
+  unsigned predict_tile = 16;
 };
 
 /// The in-repo exp and log that logistic_refresh runs on, at the scalar

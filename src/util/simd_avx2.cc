@@ -12,6 +12,7 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -122,7 +123,7 @@ const Kernels kAvx2Table = {
     avx2_diff,         avx2_zero,        avx2_quantize_gather,
     wide_scatter_bins, wide_prefix_sum4, generic_traverse_block,
     logistic_refresh_lanes<4>,
-    /*predict_tile=*/8,
+    /*predict_tile=*/16,
 };
 
 }  // namespace

@@ -10,10 +10,13 @@
 // and the abort on a wrong left count.
 // LeafSpanStep5 checks step 5 -- resolved from the partition's leaf spans
 // rather than a tree traversal -- against an independent per-record
-// Tree::predict reference.
+// Tree::predict reference; the ascending-span test pins the invariant its
+// row-range scatter relies on, and ShardGroupReset checks the warm-start
+// replay's tile-major reset against a per-tree reference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numeric>
 #include <tuple>
@@ -22,10 +25,12 @@
 #include "gbdt/binning.h"
 #include "gbdt/histogram.h"
 #include "gbdt/hotpath.h"
+#include "gbdt/shard_ops.h"
 #include "gbdt/split.h"
 #include "gbdt/trainer.h"
 #include "util/rng.h"
 #include "util/simd.h"
+#include "util/thread_pool.h"
 #include "workloads/synth.h"
 
 namespace booster::gbdt {
@@ -602,6 +607,152 @@ TEST_P(LeafSpanStep5, EarlyStop) {
   const auto result = train_and_check(data, cfg);
   EXPECT_TRUE(result.early_stopped);
   EXPECT_LT(result.model.num_trees(), cfg.num_trees);
+}
+
+// Step 5's scatter finds each leaf's rows in a row range by binary search,
+// so it needs every leaf span to ascend in row id. Growing a tree with the
+// step-3 kernel from an ascending arena must keep every span ascending
+// (the partition is stable), and the row-range scatter must then write
+// exactly what a per-position scatter writes, for any chunking.
+TEST(HotPathEquivalence, LeafSpansAscendAndRowRangeScatterMatchesPositions) {
+  const auto data = random_binned(20000, 62);
+  const std::uint64_t n = data.num_records();
+  const std::vector<SplitInfo> splits = partition_test_splits(data);
+  // Arena rows start at row_base, as a shard's do.
+  const std::uint32_t row_base = 1000;
+  std::vector<std::uint32_t> arena(n);
+  std::iota(arena.begin(), arena.end(), row_base);
+  std::vector<std::uint32_t> scratch(n);
+  util::ThreadPool pool(3);
+  std::vector<std::uint64_t> chunk_counts(pool.num_threads() + 1);
+  util::Rng rng(63);
+  std::vector<LeafSpan> leaves;
+  const auto grow = [&](auto&& self, std::uint64_t begin, std::uint64_t end,
+                        std::int32_t depth) -> void {
+    if (depth == 5 || end - begin < 2) {
+      ASSERT_TRUE(std::is_sorted(arena.begin() + begin, arena.begin() + end))
+          << "leaf span [" << begin << ", " << end << ")";
+      leaves.push_back(LeafSpan{
+          .begin = begin,
+          .end = end,
+          .delta = 0.25f * static_cast<float>(leaves.size() + 1),
+          .depth = depth});
+      return;
+    }
+    const SplitInfo& split = splits[rng.next_below(splits.size())];
+    const auto& col = data.column(split.field);
+    std::uint64_t n_left = 0;
+    for (std::uint64_t i = begin; i < end; ++i) {
+      n_left += split_goes_left(split, col[arena[i] - row_base]);
+    }
+    // partition_to reads bins through the row ids it moves, so it runs on
+    // the ids less row_base and the base is added back afterwards.
+    for (std::uint64_t i = begin; i < end; ++i) arena[i] -= row_base;
+    partition_to(arena, arena, begin, end, n_left, data, split, pool,
+                 chunk_counts, scratch);
+    for (std::uint64_t i = begin; i < end; ++i) arena[i] += row_base;
+    self(self, begin, begin + n_left, depth + 1);
+    self(self, begin + n_left, end, depth + 1);
+  };
+  grow(grow, 0, n, 0);
+  order_leaf_spans(leaves, n);  // checks that the leaves tile the arena
+
+  std::vector<float> want(n, -1.0f);
+  for (const LeafSpan& leaf : leaves) {
+    for (std::uint64_t i = leaf.begin; i < leaf.end; ++i) {
+      want[arena[i] - row_base] = leaf.delta;
+    }
+  }
+  for (const std::uint64_t chunks : {1u, 2u, 3u, 7u}) {
+    std::vector<float> got(n, -1.0f);
+    for (std::uint64_t c = 0; c < chunks; ++c) {
+      scatter_leaf_deltas(leaves, arena, row_base + n * c / chunks,
+                          row_base + n * (c + 1) / chunks, row_base, got);
+    }
+    EXPECT_EQ(got, want) << chunks << " chunks";
+  }
+  // A leaf span out of row order must abort the scatter, not skip rows.
+  const auto big = std::max_element(
+      leaves.begin(), leaves.end(), [](const LeafSpan& a, const LeafSpan& b) {
+        return a.end - a.begin < b.end - b.begin;
+      });
+  ASSERT_GE(big->end - big->begin, 2u);
+  std::reverse(arena.begin() + big->begin, arena.begin() + big->end);
+  std::vector<float> got(n, -1.0f);
+  EXPECT_DEATH(scatter_leaf_deltas(leaves, arena, row_base, row_base + n / 2,
+                                   row_base, got),
+               "leaf spans do not ascend in row id");
+}
+
+// ShardGroup::reset stands for replaying the model tree by tree: preds
+// start at (float)base_score, each tree adds (float)w with a float add,
+// and each row's gradients follow from its final prediction. The group's
+// tile-major pass must give those predictions and gradients bit for bit,
+// for every group shape, thread count and SIMD level, and for a model
+// without trees (the start of training).
+TEST(ShardGroupReset, MatchesPerTreeReplayBitwise) {
+  const auto data = random_binned(5003, 64);
+  const std::uint64_t n = data.num_records();
+  struct Shape {
+    std::uint32_t shards, begin, end;
+  };
+  const Shape shapes[] = {{1, 0, 1}, {3, 0, 3}, {3, 1, 3}, {4, 2, 3}};
+  for (const char* loss_name : {"logistic", "squared"}) {
+    TrainerConfig cfg;
+    cfg.num_trees = 6;
+    cfg.max_depth = 5;
+    cfg.loss = loss_name;
+    cfg.num_threads = 1;
+    const Model trained = Trainer(cfg).train(data).model;
+    const Model empty(trained.base_score(), make_loss(loss_name));
+    const auto loss = make_loss(loss_name);
+    for (const Model* model : {&trained, &empty}) {
+      std::vector<float> preds(n, static_cast<float>(model->base_score()));
+      for (const Tree& tree : model->trees()) {
+        for (std::uint64_t r = 0; r < n; ++r) {
+          preds[r] += static_cast<float>(tree.predict(data, r));
+        }
+      }
+      for (const util::simd::Level level :
+           {util::simd::Level::kScalar, util::simd::Level::kAvx2,
+            util::simd::Level::kAvx512}) {
+        if (util::simd::kernels(level).level != level) continue;
+        const util::simd::ScopedLevelForTesting scoped(level);
+        for (const unsigned threads : {1u, 3u}) {
+          util::ThreadPool pool(threads);
+          for (const Shape& shape : shapes) {
+            SCOPED_TRACE(::testing::Message()
+                         << loss_name << " trees " << model->num_trees()
+                         << " " << util::simd::level_name(level)
+                         << " threads " << threads << " shards "
+                         << shape.shards << " [" << shape.begin << ", "
+                         << shape.end << ")");
+            ShardGroup group(data, cfg, shape.shards, shape.begin, shape.end,
+                             &pool);
+            group.reset(*loss, *model);
+            const std::uint64_t first =
+                shard_row_range(n, shape.shards, shape.begin).first;
+            const auto got_preds = group.predictions();
+            const auto got_grads = group.gradients();
+            for (std::uint64_t i = 0; i < got_preds.size(); ++i) {
+              const std::uint64_t r = first + i;
+              const GradientPair want =
+                  loss->gradients(preds[r], data.labels()[r]);
+              ASSERT_EQ(std::bit_cast<std::uint32_t>(got_preds[i]),
+                        std::bit_cast<std::uint32_t>(preds[r]))
+                  << "row " << r;
+              ASSERT_EQ(std::bit_cast<std::uint32_t>(got_grads[i].g),
+                        std::bit_cast<std::uint32_t>(want.g))
+                  << "row " << r;
+              ASSERT_EQ(std::bit_cast<std::uint32_t>(got_grads[i].h),
+                        std::bit_cast<std::uint32_t>(want.h))
+                  << "row " << r;
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

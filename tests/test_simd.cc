@@ -5,8 +5,13 @@
 // lacks are skipped, never failed, so the suite is green on any machine.
 // Also covers the FlatEnsemble bulk-prediction path: predict_many must
 // match per-record Model::predict EXPECT_EQ-exactly, including uneven tile
-// tails, categorical splits, missing values, and single-leaf trees.
+// tails, categorical splits, missing values, and single-leaf trees; and
+// the fixed-depth traversal kernel on hand-built trees (root leaf, an
+// 18-deep unbalanced chain, every predicate edge) over guard-paged
+// columns, at every tile length and at both ends of a column.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <bit>
 #include <cmath>
@@ -25,6 +30,7 @@
 #include "gbdt/trainer.h"
 #include "gbdt/tree.h"
 #include "util/aligned.h"
+#include "util/check.h"
 #include "util/rng.h"
 #include "util/simd.h"
 #include "workloads/spec.h"
@@ -689,6 +695,213 @@ TEST(SimdPredict, PredictManyHandlesSingleLeafTrees) {
   // max_depth = 0: every tree is a bare root leaf; traversal must write
   // the root weight without a single routing step.
   expect_predict_many_matches(train_model(data, 3, 0), data);
+}
+
+// ------------------------------------------------- fixed-depth traversal
+
+/// Field columns that each fill whole pages and sit between PROT_NONE
+/// guard pages: a traversal that reads a byte before a column's first
+/// record or past its last one faults. AddressSanitizer does not see
+/// intrinsic gathers, so this is the test of the kernels' over-read rule.
+class GuardedColumns {
+ public:
+  /// `fields` columns of two pages each.
+  explicit GuardedColumns(std::uint32_t fields)
+      : page_(static_cast<std::size_t>(sysconf(_SC_PAGESIZE))),
+        bytes_(2 * page_),
+        records_(bytes_ / sizeof(BinIndex)) {
+    for (std::uint32_t f = 0; f < fields; ++f) {
+      void* base = mmap(nullptr, bytes_ + 2 * page_, PROT_READ | PROT_WRITE,
+                        MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+      BOOSTER_CHECK(base != MAP_FAILED);
+      auto* bytes = static_cast<std::uint8_t*>(base);
+      BOOSTER_CHECK(mprotect(bytes, page_, PROT_NONE) == 0);
+      BOOSTER_CHECK(mprotect(bytes + page_ + bytes_, page_, PROT_NONE) == 0);
+      maps_.push_back(base);
+      columns_.push_back(reinterpret_cast<BinIndex*>(bytes + page_));
+    }
+  }
+  ~GuardedColumns() {
+    for (void* base : maps_) munmap(base, bytes_ + 2 * page_);
+  }
+  GuardedColumns(const GuardedColumns&) = delete;
+  GuardedColumns& operator=(const GuardedColumns&) = delete;
+
+  std::size_t records() const { return records_; }
+  BinIndex* column(std::uint32_t f) { return columns_[f]; }
+  /// columns[f] + first for every field: the column-pointer form of a
+  /// sub-range that starts at record `first`.
+  std::vector<const BinIndex*> pointers(std::size_t first = 0) const {
+    std::vector<const BinIndex*> out;
+    for (BinIndex* c : columns_) out.push_back(c + first);
+    return out;
+  }
+
+ private:
+  std::size_t page_;
+  std::size_t bytes_;
+  std::size_t records_;
+  std::vector<void*> maps_;
+  std::vector<BinIndex*> columns_;
+};
+
+SplitInfo predicate(std::uint32_t field, PredicateKind kind,
+                    std::uint16_t threshold, bool default_left) {
+  SplitInfo s;
+  s.field = field;
+  s.kind = kind;
+  s.threshold_bin = threshold;
+  s.default_left = default_left;
+  return s;
+}
+
+/// Gives every leaf of `tree` a distinct weight.
+void weigh_leaves(Tree* tree, double scale) {
+  for (std::uint32_t id = 0; id < tree->num_nodes(); ++id) {
+    const auto node = static_cast<std::int32_t>(id);
+    if (tree->node(node).is_leaf) {
+      tree->set_leaf_weight(node, scale * (1.0 + id) / 3.0);
+    }
+  }
+}
+
+/// Hand-built trees over 3 fields: a root leaf; an unbalanced chain 18
+/// levels deep with a leaf at every depth from 1, cycling numeric and
+/// categorical predicates, both defaults and thresholds 0, 1, 3 and
+/// 65535 (the largest bin); and a balanced depth-3 tree.
+Model hand_built_model() {
+  Model model(0.125, make_loss("logistic"));
+  Tree root_leaf;
+  root_leaf.set_leaf_weight(0, -0.75);
+  model.add_tree(root_leaf);
+
+  Tree chain;
+  std::int32_t node = 0;
+  const std::uint16_t thresholds[] = {0, 1, 3, 65535};
+  for (std::uint32_t depth = 0; depth < 18; ++depth) {
+    const auto kind = depth % 3 == 1 ? PredicateKind::kCategoryEqual
+                                     : PredicateKind::kNumericLE;
+    const auto [left, right] = chain.split_leaf(
+        node, predicate(depth % 3, kind, thresholds[depth % 4],
+                        depth % 2 == 0));
+    // Alternate which side continues, so leaves sit on both sides.
+    node = depth % 4 < 2 ? right : left;
+  }
+  weigh_leaves(&chain, 1.0);
+  EXPECT_EQ(chain.max_depth(), 18u);
+  model.add_tree(chain);
+
+  Tree balanced;
+  const auto [l, r] = balanced.split_leaf(
+      0, predicate(0, PredicateKind::kNumericLE, 2, true));
+  const auto [ll, lr] = balanced.split_leaf(
+      l, predicate(1, PredicateKind::kCategoryEqual, 1, false));
+  const auto [rl, rr] = balanced.split_leaf(
+      r, predicate(2, PredicateKind::kCategoryEqual, 65535, true));
+  balanced.split_leaf(ll,
+                      predicate(2, PredicateKind::kNumericLE, 65535, false));
+  balanced.split_leaf(lr, predicate(0, PredicateKind::kNumericLE, 0, true));
+  balanced.split_leaf(rl, predicate(1, PredicateKind::kNumericLE, 1, false));
+  balanced.split_leaf(rr,
+                      predicate(0, PredicateKind::kCategoryEqual, 3, false));
+  weigh_leaves(&balanced, -0.5);
+  model.add_tree(balanced);
+  return model;
+}
+
+/// Bins drawn to hit every predicate edge: missing (0), the thresholds
+/// and their neighbours, and the largest bin.
+void fill_edge_bins(GuardedColumns* cols, std::uint64_t seed) {
+  const BinIndex values[] = {0, 0, 1, 2, 3, 4, 65534, 65535};
+  util::Rng rng(seed);
+  for (std::uint32_t f = 0; f < 3; ++f) {
+    for (std::size_t r = 0; r < cols->records(); ++r) {
+      cols->column(f)[r] = values[rng.next_below(8)];
+    }
+  }
+}
+
+/// Tree::predict's walk -- the routing Model::predict makes -- over raw
+/// column pointers.
+double tree_weight(const Tree& tree, const BinIndex* const* columns,
+                   std::size_t record) {
+  std::int32_t id = tree.root();
+  while (!tree.node(id).is_leaf) {
+    const TreeNode& n = tree.node(id);
+    id = tree.goes_left(id, columns[n.field][record]) ? n.left : n.right;
+  }
+  return tree.node(id).weight;
+}
+
+const simd::Level kAllLevels[] = {simd::Level::kScalar, simd::Level::kAvx2,
+                                  simd::Level::kAvx512};
+
+TEST(SimdTraverse, EveryLevelMatchesScalarAndTreeWalk) {
+  GuardedColumns cols(3);
+  fill_edge_bins(&cols, 31);
+  const Model model = hand_built_model();
+  const auto ptrs = cols.pointers();
+  const std::size_t n = cols.records();
+  for (const Tree& tree : model.trees()) {
+    const FlatTree flat(tree);
+    EXPECT_EQ(flat.depth(), tree.max_depth());
+    for (std::size_t count = 1; count <= simd::kMaxPredictTile; ++count) {
+      // The column's first records, a start mid-column, and its last
+      // records (the over-read guard).
+      for (const std::size_t first : {std::size_t{0}, std::size_t{777},
+                                       n - count}) {
+        double ref[simd::kMaxPredictTile];
+        simd::kernels(simd::Level::kScalar)
+            .traverse_block(flat.view(), ptrs.data(), first, count, ref);
+        for (std::size_t i = 0; i < count; ++i) {
+          ASSERT_EQ(ref[i], tree_weight(tree, ptrs.data(), first + i))
+              << "record " << first + i;
+        }
+        for (const simd::Level level : kAllLevels) {
+          if (simd::kernels(level).level != level) continue;
+          double got[simd::kMaxPredictTile];
+          simd::kernels(level).traverse_block(flat.view(), ptrs.data(),
+                                              first, count, got);
+          for (std::size_t i = 0; i < count; ++i) {
+            ASSERT_EQ(got[i], ref[i])
+                << simd::level_name(level) << " depth " << flat.depth()
+                << " count " << count << " first " << first << " lane " << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdTraverse, PredictManyOnColumnPointersMatchesTreeWalk) {
+  GuardedColumns cols(3);
+  fill_edge_bins(&cols, 32);
+  const Model model = hand_built_model();
+  const FlatEnsemble flat(model);
+  const std::size_t n = cols.records();
+  std::vector<std::size_t> counts;
+  for (std::size_t c = 1; c <= 17; ++c) counts.push_back(c);
+  counts.push_back(33);
+  for (const simd::Level level : kAllLevels) {
+    if (simd::kernels(level).level != level) continue;
+    const simd::ScopedLevelForTesting scoped(level);
+    for (const std::size_t count : counts) {
+      for (const std::size_t first : {std::size_t{0}, std::size_t{1001},
+                                       n - count}) {
+        const auto ptrs = cols.pointers(first);
+        std::vector<double> raw(count);
+        flat.predict_raw_many(ptrs.data(), count, raw);
+        for (std::size_t i = 0; i < count; ++i) {
+          double want = model.base_score();
+          for (const Tree& tree : model.trees()) {
+            want += tree_weight(tree, ptrs.data(), i);
+          }
+          ASSERT_EQ(raw[i], want) << simd::level_name(level) << " count "
+                                  << count << " first " << first;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
