@@ -207,7 +207,6 @@ int main(int argc, char** argv) {
     for (const auto& leg : legs) {
       gbdt::ElasticWorldConfig ecfg;
       ecfg.dist = cfg;
-      ecfg.dist.elastic = true;
       ecfg.dist.channel.recv_timeout = std::chrono::milliseconds(25);
       ecfg.dist.channel.liveness_timeout = std::chrono::milliseconds(500);
       ecfg.dist.channel.heartbeat_interval = std::chrono::milliseconds(50);

@@ -37,8 +37,7 @@ using namespace booster;
 
 namespace {
 
-// Distinct-looking seeds per chunk index (same scheme as the scenario
-// runner's streaming leg, so the two measure the same kind of stream).
+// Distinct-looking seeds per chunk index.
 constexpr std::uint64_t kChunkSeedStride = 1000003;
 constexpr std::uint64_t kSeed = 42;
 

@@ -37,7 +37,8 @@ BOOSTER_SIMD=scalar ctest --test-dir "$BUILD_DIR" --output-on-failure \
 # lane at the AVX2 level; test_simd's low-bit logistic sweep is what
 # catches a multiply-add contracted into an FMA in one level's build.
 # test_stream runs warm-start refreshes -- every one a tile-major replay
-# through the AVX2 traversal kernel -- across its threads x shards grid,
+# through the AVX2 table's traversal, which is the scalar body -- across
+# its threads x shards grid,
 # and test_split runs the threaded bin-chunked split scan beside the AVX2
 # prefix sums of the serial one. On a host without AVX2 the override
 # clamps to the detected level and this leg reruns that level.
@@ -196,9 +197,9 @@ done
 # hand-off landed. The scalar rerun of the warm-start determinism tests
 # proves the refresh path (including the init-model prediction replay,
 # which runs the dispatched traversal kernel) is also independent of the
-# dispatch level. (The "streaming" scenario above already ran the measured
-# streaming leg through the Scenario API under --quick, and the full
-# scalar ctest pass at the top reran test_stream with scalar kernels.)
+# dispatch level. bench_stream is the one streaming harness (the scenario
+# layer has no streaming leg), and the full scalar ctest pass at the top
+# reran test_stream with scalar kernels.
 "$BUILD_DIR/bench_stream" --quick
 BOOSTER_SIMD=scalar "$BUILD_DIR/test_stream" \
   --gtest_filter='Retrainer.WarmStartRefreshesBitIdenticalAcrossThreadsAndShards'

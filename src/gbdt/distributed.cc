@@ -7,6 +7,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <thread>
 #include <tuple>
 #include <utility>
@@ -110,6 +111,30 @@ void accumulate_leaf_depths(const Tree& tree, double* leaf_depth_sum,
       ++*leaf_count;
     }
   }
+}
+
+/// The HotPathStats fields every rank fills the same way after training:
+/// dispatch provenance, thread and shard counts, the sums over the rank's
+/// shard groups (in shard order) and the row-major matrix size. Rank 0
+/// adds its merge count and its merge pools' counters on top.
+void fill_hot_path(const util::ThreadPool& pool, std::uint32_t num_shards,
+                   const BinnedDataset& data,
+                   std::span<const std::unique_ptr<ShardGroup>> groups,
+                   HotPathStats* hp) {
+  hp->threads = pool.num_threads();
+  hp->simd = util::simd::level_name(util::simd::active());
+  hp->shards = num_shards;
+  for (const auto& g : groups) {
+    hp->chunk_merges += g->internal_merges();
+    for (const ShardHotPathStats& ss : g->shard_stats()) {
+      hp->histogram_allocations += ss.histogram_allocations;
+      hp->histogram_acquires += ss.histogram_acquires;
+      hp->arena_bytes += ss.arena_bytes;
+      hp->per_shard.push_back(ss);
+    }
+  }
+  hp->row_major_matrix_bytes = RecordLayout::software_row_major_bytes(
+      data.num_records(), data.num_fields(), sizeof(BinIndex));
 }
 
 }  // namespace
@@ -764,30 +789,16 @@ TrainResult DistributedTrainer::coordinate(const BinnedDataset& data,
 
   result.avg_leaf_depth =
       leaf_count == 0 ? 0.0 : leaf_depth_sum / static_cast<double>(leaf_count);
-  result.hot_path.threads = pool.num_threads();
-  result.hot_path.simd = util::simd::level_name(util::simd::active());
-  result.hot_path.shards = num_shards;
-  result.hot_path.histogram_merges = driver_merges;
-  result.hot_path.histogram_allocations =
-      merged_pool.allocations() + rx_pool.allocations();
-  result.hot_path.histogram_acquires =
-      merged_pool.acquires() + rx_pool.acquires();
-  result.hot_path.arena_bytes = 0;
   std::sort(groups.begin(), groups.end(),
             [](const auto& a, const auto& b) {
               return a->shard_begin() < b->shard_begin();
             });
-  for (const auto& g : groups) {
-    result.hot_path.chunk_merges += g->internal_merges();
-    for (const ShardHotPathStats& ss : g->shard_stats()) {
-      result.hot_path.histogram_allocations += ss.histogram_allocations;
-      result.hot_path.histogram_acquires += ss.histogram_acquires;
-      result.hot_path.arena_bytes += ss.arena_bytes;
-      result.hot_path.per_shard.push_back(ss);
-    }
-  }
-  result.hot_path.row_major_matrix_bytes =
-      RecordLayout::software_row_major_bytes(n, num_fields, sizeof(BinIndex));
+  fill_hot_path(pool, num_shards, data, groups, &result.hot_path);
+  result.hot_path.histogram_merges = driver_merges;
+  result.hot_path.histogram_allocations +=
+      merged_pool.allocations() + rx_pool.allocations();
+  result.hot_path.histogram_acquires +=
+      merged_pool.acquires() + rx_pool.acquires();
 
   if (transport_ != nullptr) {
     stats_.channel = channel->stats();
@@ -822,21 +833,8 @@ TrainResult DistributedTrainer::follow(const BinnedDataset& data,
     result.avg_leaf_depth =
         leaf_count == 0 ? 0.0
                         : leaf_depth_sum / static_cast<double>(leaf_count);
-    result.hot_path.threads = pool.num_threads();
-    result.hot_path.simd = util::simd::level_name(util::simd::active());
-    result.hot_path.shards = num_shards;
-    if (group != nullptr) {
-      result.hot_path.chunk_merges = group->internal_merges();
-      for (const ShardHotPathStats& ss : group->shard_stats()) {
-        result.hot_path.histogram_allocations += ss.histogram_allocations;
-        result.hot_path.histogram_acquires += ss.histogram_acquires;
-        result.hot_path.arena_bytes += ss.arena_bytes;
-        result.hot_path.per_shard.push_back(ss);
-      }
-    }
-    result.hot_path.row_major_matrix_bytes =
-        RecordLayout::software_row_major_bytes(n, data.num_fields(),
-                                               sizeof(BinIndex));
+    fill_hot_path(pool, num_shards, data,
+                  {&group, group != nullptr ? 1u : 0u}, &result.hot_path);
     stats_.channel = channel.stats();
     stats_.transport = transport_->stats();
     detail::fill_workload_info(data, tcfg, result, info);

@@ -170,9 +170,8 @@ class DistributedTrainer {
 /// receives the *worker* ranks' results (ranks 1..R-1, in rank order;
 /// TrainResult is move-only, so rank 0's lives in the return value);
 /// `all_stats` receives per-rank stats indexed by rank. The convenience
-/// harness behind the equivalence tests, bench_distributed, the scenario
-/// runner's runner.procs knob, and the multi_process example's loopback
-/// mode.
+/// harness behind the equivalence tests, bench_distributed, and the
+/// multi_process example's loopback mode.
 TrainResult train_in_process(const DistributedConfig& cfg,
                              ipc::InProcessWorld& world,
                              const BinnedDataset& data,
@@ -182,9 +181,10 @@ TrainResult train_in_process(const DistributedConfig& cfg,
                              std::vector<DistributedStats>* all_stats = nullptr);
 
 /// Configuration of one elastic localhost-TCP training world driven by a
-/// seeded churn schedule (tests, bench, and the scenario runner's
-/// runner.transport=tcp + runner.churn knobs).
+/// seeded churn schedule (tests, bench_distributed, multi_process).
 struct ElasticWorldConfig {
+  /// Every rank's config. train_elastic_tcp sets dist.elastic on every
+  /// rank itself, so callers need not.
   DistributedConfig dist;
   /// Workers connected before training starts (ranks 1..initial_workers).
   std::uint32_t initial_workers = 1;

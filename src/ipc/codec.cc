@@ -260,25 +260,6 @@ void HistogramCodec::encode_histogram(const gbdt::Histogram& h,
   copy_bins_out(h, w.append(h.total_bins() * kWireBinBytes));
 }
 
-bool HistogramCodec::decode_histogram(ByteReader& r, gbdt::Histogram* out) {
-  const std::uint32_t num_fields = r.u32();
-  // A corrupt-free payload always fits the declared field count; guard the
-  // multiplication anyway so a protocol bug cannot request a huge resize.
-  if (!r.ok() || num_fields > (1u << 20)) return false;
-  std::vector<std::uint32_t> bins_per_field(num_fields);
-  std::uint64_t total_bins = 0;
-  for (std::uint32_t f = 0; f < num_fields; ++f) {
-    bins_per_field[f] = r.u32();
-    total_bins += bins_per_field[f];
-  }
-  if (!r.ok() || total_bins * kWireBinBytes > kMaxPayloadBytes) return false;
-  const std::uint8_t* bins = r.take(total_bins * kWireBinBytes);
-  if (bins == nullptr) return false;
-  *out = gbdt::Histogram(bins_per_field);
-  copy_bins_in(bins, out);
-  return true;
-}
-
 bool HistogramCodec::decode_histogram_into(ByteReader& r,
                                            gbdt::Histogram* out) {
   const std::uint32_t num_fields = r.u32();
@@ -294,12 +275,6 @@ bool HistogramCodec::decode_histogram_into(ByteReader& r,
 }
 
 std::vector<std::uint8_t> HistogramCodec::encode_shard_histogram(
-    const ShardHistogramMsg& msg) {
-  return encode_shard_histogram(msg.tree, msg.build_seq, msg.shard,
-                                msg.histogram);
-}
-
-std::vector<std::uint8_t> HistogramCodec::encode_shard_histogram(
     std::uint32_t tree, std::uint32_t build_seq, std::uint32_t shard,
     const gbdt::Histogram& histogram) {
   std::vector<std::uint8_t> out;
@@ -309,16 +284,6 @@ std::vector<std::uint8_t> HistogramCodec::encode_shard_histogram(
   w.u32(shard);
   encode_histogram(histogram, &out);
   return out;
-}
-
-bool HistogramCodec::decode_shard_histogram(
-    std::span<const std::uint8_t> payload, ShardHistogramMsg* out) {
-  ByteReader r(payload);
-  out->tree = r.u32();
-  out->build_seq = r.u32();
-  out->shard = r.u32();
-  if (!decode_histogram(r, &out->histogram)) return false;
-  return r.exhausted();
 }
 
 bool HistogramCodec::decode_shard_histogram_into(

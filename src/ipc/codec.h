@@ -163,15 +163,15 @@ class ByteReader {
 
 // ---------------------------------------------------------------- payloads
 
-/// Worker -> rank 0 shard histogram: which (tree, build point, shard) the
-/// bins belong to, plus the histogram itself. build_seq is the per-tree
-/// build counter both sides advance in lock step; a mismatch means the
-/// protocol lost sync and is a loud error, not a retryable fault.
+/// Worker -> rank 0 shard histogram header: which (tree, build point,
+/// shard) the bins belong to. The bins themselves decode into a caller's
+/// same-shape histogram (decode_shard_histogram_into). build_seq is the
+/// per-tree build counter both sides advance in lock step; a mismatch
+/// means the protocol lost sync and is a loud error, not a retryable fault.
 struct ShardHistogramMsg {
   std::uint32_t tree = 0;
   std::uint32_t build_seq = 0;
   std::uint32_t shard = 0;
-  gbdt::Histogram histogram;
 };
 
 /// Rank 0 -> worker split decision for one popped frontier node.
@@ -248,26 +248,18 @@ class HistogramCodec {
 
   static void encode_histogram(const gbdt::Histogram& h,
                                std::vector<std::uint8_t>* out);
-  /// Decodes into a fresh histogram of the encoded shape.
-  static bool decode_histogram(ByteReader& r, gbdt::Histogram* out);
-
   /// Decodes into an existing histogram whose shape must match the
-  /// encoded one -- lets the receiver decode into pooled buffers so the
+  /// encoded one -- the receiver decodes into pooled buffers, so the
   /// merge rank stays allocation-free in steady state.
   static bool decode_histogram_into(ByteReader& r, gbdt::Histogram* out);
 
-  static std::vector<std::uint8_t> encode_shard_histogram(
-      const ShardHistogramMsg& msg);
-  /// By-reference variant (no Histogram copy into a message struct) --
-  /// the layout is the one golden-pinned encoder; the struct variant
-  /// forwards here.
+  /// The shard-histogram payload: the ShardHistogramMsg header, then the
+  /// encode_histogram bytes of `histogram` (the golden-pinned layout).
   static std::vector<std::uint8_t> encode_shard_histogram(
       std::uint32_t tree, std::uint32_t build_seq, std::uint32_t shard,
       const gbdt::Histogram& histogram);
-  static bool decode_shard_histogram(std::span<const std::uint8_t> payload,
-                                     ShardHistogramMsg* out);
-  /// Pooled variant: fills the message header fields of *out and decodes
-  /// the bins into *into (shape-checked).
+  /// Fills the header fields of *out and decodes the bins into *into
+  /// (shape-checked, as decode_histogram_into).
   static bool decode_shard_histogram_into(std::span<const std::uint8_t> payload,
                                           ShardHistogramMsg* out,
                                           gbdt::Histogram* into);

@@ -1,9 +1,9 @@
 // In-memory loopback transport: the whole world lives in one process, one
 // thread per rank, frames move through mutex-protected per-pair queues.
 // The zero-configuration transport for tests (the fault-injection layer
-// wraps it), for the scenario runner's in-process distributed worlds, and
-// for sanitizer runs (ASan/UBSan see every byte of the protocol without
-// any kernel plumbing in the way).
+// wraps it), for bench_distributed's in-process worlds, and for sanitizer
+// runs (ASan/UBSan see every byte of the protocol without any kernel
+// plumbing in the way).
 #pragma once
 
 #include <condition_variable>

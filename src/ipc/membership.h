@@ -14,9 +14,9 @@
 //     live participant list, so any membership view yields a valid
 //     partition and the quantized-exact merge keeps the model
 //     bit-identical across views);
-//   * ChurnSchedule -- the seeded "kill:1@2,join:3@4" grammar the tests,
-//     the scenario runner, and bench_distributed use to script worker
-//     churn at tree boundaries.
+//   * ChurnSchedule -- the seeded "kill:1@2,join:3@4" grammar the tests
+//     and bench_distributed use to script worker churn at tree
+//     boundaries.
 //
 // Deadline-based failure detection itself lives in ipc::ReliableChannel
 // (ReliableConfig.liveness_timeout + heartbeats); this header is the
@@ -102,8 +102,8 @@ struct ChurnEvent {
 };
 
 /// "kill:<rank>@<tree>,hang:<rank>@<tree>,join:<rank>@<tree>" -- the
-/// churn grammar of runner.churn and the elastic tests. Whitespace-free;
-/// empty string parses to an empty schedule.
+/// churn grammar of bench_distributed and the elastic tests.
+/// Whitespace-free; empty string parses to an empty schedule.
 struct ChurnSchedule {
   std::vector<ChurnEvent> events;
 

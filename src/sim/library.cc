@@ -188,27 +188,6 @@ std::vector<ScenarioSpec> make_builtin() {
     s.serving = ServingSpec{};
     out.push_back(std::move(s));
   }
-  {
-    // Streaming scenario: chunked ingestion against a frozen bin map with
-    // continuous warm-start retraining (stream::Retrainer), swept over the
-    // refresh cadence. Every refreshed generation is verified bit-identical
-    // across a (threads x shards) grid before its staleness/throughput
-    // numbers are reported, and a drifting label-noise schedule gives the
-    // refreshes something real to chase.
-    auto s = base("streaming",
-                  "Streaming: continuous warm-start retraining, staleness"
-                  " vs refresh cadence",
-                  "Streaming ingestion extension study (cf. IPTV"
-                  " QoS-under-arrival-rate methodology)",
-                  {"IoT"});
-    s.models = {model("booster")};
-    s.sweep_axis = SweepAxis::kRefreshCadence;
-    s.sweep_values = {1, 2, 4};
-    StreamingSpec st;
-    st.drift = "noise-ramp";
-    s.streaming = st;
-    out.push_back(std::move(s));
-  }
 
   return out;
 }

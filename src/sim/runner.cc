@@ -1,6 +1,5 @@
 #include "sim/runner.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -11,12 +10,10 @@
 #include <sstream>
 #include <thread>
 
-#include "gbdt/binning.h"
 #include "gbdt/model_io.h"
 #include "serve/client.h"
 #include "serve/model_slot.h"
 #include "serve/server.h"
-#include "stream/retrainer.h"
 #include "util/simd.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
@@ -28,98 +25,6 @@ namespace {
 
 void set_error(std::string* error, const std::string& message) {
   if (error != nullptr && error->empty()) *error = message;
-}
-
-/// One full streaming pipeline run (bootstrap -> freeze -> chunked ingest
-/// -> cadenced warm-start refresh through an in-process ModelSlot), fully
-/// deterministic given (dataset, st, seed, trainer knobs): chunk i is
-/// synthesized with seed + kChunkSeedStride * (i + 1), drift applied per
-/// schedule. Returns each refreshed generation's serialized bytes so
-/// callers can assert bit-identity across (threads, shards) reruns.
-struct StreamRun {
-  std::vector<std::string> generations;  // save_model bytes per refresh
-  std::uint64_t rows = 0;                // streamed rows (bootstrap excl.)
-  double wall_seconds = 0.0;
-  std::vector<double> staleness_ms;  // per refresh: newest-row age at install
-  std::uint64_t handoff_failures = 0;
-  std::uint64_t final_trees = 0;
-  std::uint64_t slot_version = 0;  // installs observed by the slot
-};
-
-constexpr std::uint64_t kChunkSeedStride = 1000003;
-
-workloads::DatasetSpec drifted_spec(const workloads::DatasetSpec& dataset,
-                                    const StreamingSpec& st,
-                                    std::uint32_t chunk_index) {
-  workloads::DatasetSpec out = dataset;
-  if (st.drift == "noise-ramp") {
-    // Label noise ramps to 2x over the stream: the label relation the
-    // bootstrap generation learned keeps degrading, so refreshes have real
-    // drift to absorb.
-    out.label_noise = dataset.label_noise *
-                      (1.0 + static_cast<double>(chunk_index + 1) /
-                                 static_cast<double>(st.chunks));
-  }
-  return out;
-}
-
-StreamRun run_stream_pipeline(const workloads::DatasetSpec& dataset,
-                              const StreamingSpec& st, std::uint64_t seed,
-                              std::uint32_t max_depth, std::uint32_t threads,
-                              std::uint32_t shards, bool paced) {
-  const gbdt::Dataset bootstrap_raw =
-      workloads::synthesize(dataset, st.bootstrap_rows, seed);
-  const gbdt::BinnedDataset bootstrap = gbdt::Binner().bin(bootstrap_raw);
-  const stream::FrozenBinMap map(bootstrap);
-
-  stream::RetrainerConfig rcfg;
-  rcfg.trainer.num_trees = st.refresh_trees;
-  rcfg.trainer.max_depth = max_depth;
-  rcfg.trainer.loss = dataset.loss;
-  rcfg.trainer.num_threads = threads;
-  rcfg.trainer.num_shards = shards;
-  rcfg.refresh_every_chunks = st.refresh_every_chunks;
-  rcfg.window_chunks = st.window_chunks;
-  rcfg.warm_start = st.warm_start;
-  serve::ModelSlot slot;
-  rcfg.slot = &slot;
-  stream::Retrainer retrainer(map, rcfg);
-
-  StreamRun run;
-  const auto start = std::chrono::steady_clock::now();
-  for (std::uint32_t i = 0; i < st.chunks; ++i) {
-    const gbdt::Dataset chunk =
-        workloads::synthesize(drifted_spec(dataset, st, i), st.chunk_rows,
-                              seed + kChunkSeedStride * (i + 1));
-    if (paced && st.arrival_rows_per_sec > 0.0) {
-      const double due_s =
-          static_cast<double>(run.rows + chunk.num_records()) /
-          st.arrival_rows_per_sec;
-      std::this_thread::sleep_until(
-          start + std::chrono::duration_cast<
-                      std::chrono::steady_clock::duration>(
-                      std::chrono::duration<double>(due_s)));
-    }
-    const auto arrived = std::chrono::steady_clock::now();
-    if (retrainer.ingest(chunk)) {
-      const auto installed = std::chrono::steady_clock::now();
-      run.staleness_ms.push_back(
-          std::chrono::duration<double, std::milli>(installed - arrived)
-              .count());
-      std::stringstream bytes;
-      gbdt::save_model(*retrainer.latest(), bytes);
-      run.generations.push_back(bytes.str());
-    }
-    run.rows += chunk.num_records();
-  }
-  run.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  run.handoff_failures = retrainer.stats().handoff_failures;
-  run.final_trees = retrainer.stats().latest_trees;
-  const auto served = slot.current();
-  run.slot_version = served == nullptr ? 0 : served->version;
-  return run;
 }
 
 }  // namespace
@@ -241,29 +146,6 @@ Json ScenarioResult::to_json() const {
     }
     j.set("serving", std::move(serving_array));
   }
-
-  if (!streaming.empty()) {
-    Json streaming_array = Json::array();
-    for (const auto& s : streaming) {
-      Json sj = Json::object();
-      sj.set("workload", workloads[s.workload_index].spec.name);
-      if (spec.sweep_axis == SweepAxis::kArrivalRate ||
-          spec.sweep_axis == SweepAxis::kRefreshCadence) {
-        sj.set("sweep_value", s.sweep_value);
-      }
-      sj.set("arrival_rows_per_sec", s.arrival_rows_per_sec);
-      sj.set("refresh_every_chunks", s.refresh_every_chunks);
-      sj.set("chunks", s.chunks);
-      sj.set("rows", s.rows);
-      sj.set("refreshes", s.refreshes);
-      sj.set("final_trees", s.final_trees);
-      sj.set("rows_per_sec", s.rows_per_sec);
-      sj.set("staleness_ms_mean", s.staleness_ms_mean);
-      sj.set("staleness_ms_max", s.staleness_ms_max);
-      streaming_array.push_back(std::move(sj));
-    }
-    j.set("streaming", std::move(streaming_array));
-  }
   return j;
 }
 
@@ -319,25 +201,6 @@ void ScenarioResult::print_table() const {
                         std::to_string(s.requests)});
     }
     std::printf("\nMeasured serving (closed-loop, localhost TCP,"
-                " bit-identity gated):\n");
-    measured.print();
-  }
-
-  // Same for the streaming leg: numbers only print after every refreshed
-  // generation passed the (threads x shards) bit-identity gate.
-  if (!streaming.empty()) {
-    util::Table measured({"Workload", "cadence", "refreshes", "trees",
-                          "rows/s", "stale-ms-mean", "stale-ms-max"});
-    for (const auto& s : streaming) {
-      measured.add_row({workloads[s.workload_index].spec.name,
-                        std::to_string(s.refresh_every_chunks),
-                        std::to_string(s.refreshes),
-                        std::to_string(s.final_trees),
-                        util::fmt(s.rows_per_sec, 0),
-                        util::fmt(s.staleness_ms_mean, 2),
-                        util::fmt(s.staleness_ms_max, 2)});
-    }
-    std::printf("\nMeasured streaming (chunked ingest + warm-start refresh,"
                 " bit-identity gated):\n");
     measured.print();
   }
@@ -460,23 +323,6 @@ std::optional<ScenarioResult> ScenarioRunner::run(const ScenarioSpec& spec,
           return std::nullopt;
         }
         replica_count = static_cast<std::uint32_t>(value);
-        break;
-      case SweepAxis::kArrivalRate:
-        // Moves only the measured streaming leg (pacing); the analytic
-        // cells run at the base config for every point.
-        if (value < 0.0) {
-          set_error(error, "sweep axis arrival-rate requires non-negative"
-                           " values (rows/s; 0 = unpaced)");
-          return std::nullopt;
-        }
-        break;
-      case SweepAxis::kRefreshCadence:
-        // Moves only the measured streaming leg (refresh_every_chunks).
-        if (value < 1.0 || value != std::floor(value)) {
-          set_error(error, "sweep axis refresh-cadence requires positive"
-                           " integer values (chunks per refresh)");
-          return std::nullopt;
-        }
         break;
     }
     point_configs.push_back(cfg);
@@ -657,109 +503,6 @@ std::optional<ScenarioResult> ScenarioRunner::run(const ScenarioSpec& spec,
     }
   }
 
-  // ---- the measured streaming leg: the full chunked-ingest +
-  // continuous-retraining pipeline per workload (per streaming sweep point
-  // when the axis is arrival-rate / refresh-cadence). Each measured run's
-  // refreshed generations are then recomputed across a (threads x shards)
-  // verification grid -- same chunk sequence, unpaced -- and any bitwise
-  // divergence or failed hand-off fails the whole scenario, so the
-  // staleness/throughput numbers are determinism-gated by construction.
-  // Runs serially after the cell matrix, like the serving leg.
-  if (spec.streaming.has_value()) {
-    StreamingSpec base_st = *spec.streaming;
-    if (options.quick) {
-      base_st.bootstrap_rows = std::min<std::uint64_t>(base_st.bootstrap_rows,
-                                                       2000);
-      base_st.chunk_rows = std::min<std::uint64_t>(base_st.chunk_rows, 500);
-      base_st.chunks = std::min<std::uint32_t>(base_st.chunks, 4);
-      // Never sleep in CI smoke runs: quick measures the pipeline, not the
-      // pacing.
-      base_st.arrival_rows_per_sec = 0.0;
-    }
-    const bool streaming_swept =
-        spec.sweep_axis == SweepAxis::kArrivalRate ||
-        spec.sweep_axis == SweepAxis::kRefreshCadence;
-    const std::vector<double> stream_points =
-        streaming_swept ? result.sweep_values : std::vector<double>{0.0};
-
-    for (std::size_t w = 0; w < result.workloads.size(); ++w) {
-      const auto& wl = result.workloads[w];
-      for (const double point : stream_points) {
-        StreamingSpec st = base_st;
-        if (spec.sweep_axis == SweepAxis::kArrivalRate && !options.quick) {
-          st.arrival_rows_per_sec = point;
-        }
-        if (spec.sweep_axis == SweepAxis::kRefreshCadence) {
-          st.refresh_every_chunks = static_cast<std::uint32_t>(point);
-        }
-
-        const StreamRun measured = run_stream_pipeline(
-            wl.spec, st, runner_cfg.seed, spec.max_depth, /*threads=*/1,
-            /*shards=*/1, /*paced=*/true);
-        if (measured.handoff_failures != 0) {
-          set_error(error, "streaming leg failed for workload \"" +
-                               wl.spec.name + "\": " +
-                               std::to_string(measured.handoff_failures) +
-                               " model hand-offs failed");
-          return std::nullopt;
-        }
-        if (measured.slot_version != measured.generations.size()) {
-          set_error(error, "streaming leg failed for workload \"" +
-                               wl.spec.name +
-                               "\": ModelSlot version does not match the"
-                               " refresh count");
-          return std::nullopt;
-        }
-
-        // Determinism gate: every refreshed generation must be
-        // bit-identical when the same chunk sequence retrains with more
-        // threads and shards.
-        for (const auto& [vthreads, vshards] :
-             {std::pair<std::uint32_t, std::uint32_t>{1, 3},
-              std::pair<std::uint32_t, std::uint32_t>{8, 1},
-              std::pair<std::uint32_t, std::uint32_t>{8, 3}}) {
-          const StreamRun verify = run_stream_pipeline(
-              wl.spec, st, runner_cfg.seed, spec.max_depth, vthreads,
-              vshards, /*paced=*/false);
-          if (verify.generations != measured.generations) {
-            set_error(error, "streaming leg failed for workload \"" +
-                                 wl.spec.name + "\": refreshed models at"
-                                 " threads=" + std::to_string(vthreads) +
-                                 " shards=" + std::to_string(vshards) +
-                                 " diverge bitwise from the threads=1"
-                                 " shards=1 reference");
-            return std::nullopt;
-          }
-        }
-
-        StreamingMeasurement sm;
-        sm.workload_index = w;
-        sm.sweep_value = streaming_swept ? point : 0.0;
-        sm.arrival_rows_per_sec = st.arrival_rows_per_sec;
-        sm.refresh_every_chunks = st.refresh_every_chunks;
-        sm.chunks = st.chunks;
-        sm.rows = measured.rows;
-        sm.refreshes = measured.generations.size();
-        sm.final_trees = measured.final_trees;
-        sm.rows_per_sec = measured.wall_seconds > 0.0
-                              ? static_cast<double>(measured.rows) /
-                                    measured.wall_seconds
-                              : 0.0;
-        if (!measured.staleness_ms.empty()) {
-          double sum = 0.0;
-          double max = 0.0;
-          for (const double s : measured.staleness_ms) {
-            sum += s;
-            max = std::max(max, s);
-          }
-          sm.staleness_ms_mean =
-              sum / static_cast<double>(measured.staleness_ms.size());
-          sm.staleness_ms_max = max;
-        }
-        result.streaming.push_back(sm);
-      }
-    }
-  }
   return result;
 }
 

@@ -8,7 +8,8 @@
 //
 // This is the single execution engine behind every bench_fig*/bench_table*
 // driver and the booster_scenarios CLI: benches are now a builtin spec plus
-// a formatting shim over ScenarioResult.
+// a formatting shim over ScenarioResult. Functional samples train in
+// process with gbdt::Trainer; the one measured leg is serving.
 #pragma once
 
 #include <cstdint>
@@ -96,31 +97,6 @@ struct ServingMeasurement {
   double bytes_per_request = 0.0;
 };
 
-/// One measured streaming run (spec.streaming present): the workload's
-/// record stream replayed in chunks through a stream::Retrainer (frozen
-/// bin map, bounded window, warm-start refresh on a cadence), one per
-/// workload per streaming sweep point. Reported only when every refreshed
-/// generation was bit-identical across the verification (threads x shards)
-/// grid and every hand-off succeeded -- otherwise the scenario fails.
-struct StreamingMeasurement {
-  std::size_t workload_index = 0;
-  double sweep_value = 0.0;  // 0 when the sweep axis is not streaming
-  double arrival_rows_per_sec = 0.0;  // 0 = unpaced
-  std::uint32_t refresh_every_chunks = 0;
-  std::uint64_t chunks = 0;
-  std::uint64_t rows = 0;
-  std::uint64_t refreshes = 0;
-  /// Trees in the final generation.
-  std::uint64_t final_trees = 0;
-  /// Ingest throughput actually achieved (rows/s over the whole stream).
-  double rows_per_sec = 0.0;
-  /// Model staleness at each refresh: age of the newest window row when
-  /// the refreshed model became available (train + hand-off time, plus any
-  /// cadence-induced wait is excluded -- this is the refresh-path cost).
-  double staleness_ms_mean = 0.0;
-  double staleness_ms_max = 0.0;
-};
-
 struct ScenarioResult {
   ScenarioSpec spec;
   bool quick = false;
@@ -133,10 +109,6 @@ struct ScenarioResult {
   std::vector<ScenarioCell> cells;
   /// One entry per workload when spec.serving is present; empty otherwise.
   std::vector<ServingMeasurement> serving;
-  /// Streaming measurements when spec.streaming is present: one entry per
-  /// workload per streaming sweep point (arrival-rate / refresh-cadence
-  /// axes), or one per workload otherwise. Empty without the block.
-  std::vector<StreamingMeasurement> streaming;
 
   const ScenarioCell& cell(std::size_t sweep, std::size_t workload,
                            std::size_t model) const;

@@ -2,9 +2,6 @@
 
 #include <cmath>
 
-#include "ipc/membership.h"
-#include "ipc/world.h"
-
 namespace booster::sim {
 
 void apply_quick(workloads::RunnerConfig* cfg) {
@@ -26,10 +23,6 @@ const char* sweep_axis_name(SweepAxis axis) {
       return "shards";
     case SweepAxis::kReplicas:
       return "replicas";
-    case SweepAxis::kArrivalRate:
-      return "arrival-rate";
-    case SweepAxis::kRefreshCadence:
-      return "refresh-cadence";
   }
   return "none";
 }
@@ -37,8 +30,7 @@ const char* sweep_axis_name(SweepAxis axis) {
 std::optional<SweepAxis> sweep_axis_from_name(std::string_view name) {
   for (const SweepAxis axis :
        {SweepAxis::kNone, SweepAxis::kClusters, SweepAxis::kBandwidthScale,
-        SweepAxis::kRecordScale, SweepAxis::kShards, SweepAxis::kReplicas,
-        SweepAxis::kArrivalRate, SweepAxis::kRefreshCadence}) {
+        SweepAxis::kRecordScale, SweepAxis::kShards, SweepAxis::kReplicas}) {
     if (name == sweep_axis_name(axis)) return axis;
   }
   return std::nullopt;
@@ -368,9 +360,6 @@ workloads::RunnerConfig ScenarioSpec::runner_config(bool quick) const {
   cfg.max_depth = max_depth;
   cfg.seed = seed;
   cfg.num_shards = shards;
-  cfg.procs = procs;
-  cfg.transport = transport;
-  cfg.churn = churn;
   if (quick) apply_quick(&cfg);
   return cfg;
 }
@@ -439,9 +428,6 @@ Json ScenarioSpec::to_json() const {
   if (max_depth != defaults.max_depth) runner.set("max_depth", max_depth);
   if (seed != defaults.seed) runner.set("seed", seed);
   if (shards != defaults.shards) runner.set("shards", shards);
-  if (procs != defaults.procs) runner.set("procs", procs);
-  if (transport != defaults.transport) runner.set("transport", transport);
-  if (churn != defaults.churn) runner.set("churn", churn);
   if (runner.size() > 0) j.set("runner", std::move(runner));
 
   if (include_inference) j.set("include_inference", true);
@@ -469,40 +455,6 @@ Json ScenarioSpec::to_json() const {
     j.set("serving", std::move(sv));
   }
 
-  if (streaming.has_value()) {
-    const StreamingSpec streaming_defaults;
-    Json st = Json::object();
-    if (streaming->bootstrap_rows != streaming_defaults.bootstrap_rows) {
-      st.set("bootstrap_rows", streaming->bootstrap_rows);
-    }
-    if (streaming->chunk_rows != streaming_defaults.chunk_rows) {
-      st.set("chunk_rows", streaming->chunk_rows);
-    }
-    if (streaming->chunks != streaming_defaults.chunks) {
-      st.set("chunks", streaming->chunks);
-    }
-    if (streaming->window_chunks != streaming_defaults.window_chunks) {
-      st.set("window_chunks", streaming->window_chunks);
-    }
-    if (streaming->refresh_every_chunks !=
-        streaming_defaults.refresh_every_chunks) {
-      st.set("refresh_every_chunks", streaming->refresh_every_chunks);
-    }
-    if (streaming->refresh_trees != streaming_defaults.refresh_trees) {
-      st.set("refresh_trees", streaming->refresh_trees);
-    }
-    if (streaming->warm_start != streaming_defaults.warm_start) {
-      st.set("warm_start", streaming->warm_start);
-    }
-    if (streaming->arrival_rows_per_sec !=
-        streaming_defaults.arrival_rows_per_sec) {
-      st.set("arrival_rows_per_sec", streaming->arrival_rows_per_sec);
-    }
-    if (streaming->drift != streaming_defaults.drift) {
-      st.set("drift", streaming->drift);
-    }
-    j.set("streaming", std::move(st));
-  }
   return j;
 }
 
@@ -580,8 +532,7 @@ std::optional<ScenarioSpec> ScenarioSpec::from_json(const Json& json,
     if (!parsed) {
       set_error(error, "scenario.sweep.axis: unknown axis \"" + axis +
                            "\" (expected none, clusters, bandwidth-scale,"
-                           " record-scale, shards, replicas, arrival-rate,"
-                           " or refresh-cadence)");
+                           " record-scale, shards, or replicas)");
       return std::nullopt;
     }
     spec.sweep_axis = *parsed;
@@ -600,9 +551,6 @@ std::optional<ScenarioSpec> ScenarioSpec::from_json(const Json& json,
     rr.u32("max_depth", &spec.max_depth);
     rr.u64("seed", &spec.seed);
     rr.u32("shards", &spec.shards);
-    rr.u32("procs", &spec.procs);
-    rr.string("transport", &spec.transport);
-    rr.string("churn", &spec.churn);
     if (!rr.finish()) return std::nullopt;
   }
 
@@ -626,53 +574,11 @@ std::optional<ScenarioSpec> ScenarioSpec::from_json(const Json& json,
     spec.serving = serving;
   }
 
-  if (const Json* st = r.child("streaming")) {
-    StreamingSpec streaming;
-    FieldReader str(*st, "scenario.streaming", error);
-    str.u64("bootstrap_rows", &streaming.bootstrap_rows);
-    str.u64("chunk_rows", &streaming.chunk_rows);
-    str.u32("chunks", &streaming.chunks);
-    str.u32("window_chunks", &streaming.window_chunks);
-    str.u32("refresh_every_chunks", &streaming.refresh_every_chunks);
-    str.u32("refresh_trees", &streaming.refresh_trees);
-    str.boolean("warm_start", &streaming.warm_start);
-    str.number("arrival_rows_per_sec", &streaming.arrival_rows_per_sec);
-    str.string("drift", &streaming.drift);
-    if (!str.finish()) return std::nullopt;
-    if (streaming.bootstrap_rows == 0 || streaming.chunk_rows == 0 ||
-        streaming.chunks == 0 || streaming.window_chunks == 0 ||
-        streaming.refresh_every_chunks == 0 || streaming.refresh_trees == 0) {
-      set_error(error, "scenario.streaming knobs must be positive");
-      return std::nullopt;
-    }
-    if (streaming.arrival_rows_per_sec < 0.0) {
-      set_error(error,
-                "scenario.streaming.arrival_rows_per_sec must be >= 0");
-      return std::nullopt;
-    }
-    if (streaming.drift != "none" && streaming.drift != "noise-ramp") {
-      set_error(error, "scenario.streaming.drift: unknown schedule \"" +
-                           streaming.drift +
-                           "\" (expected none or noise-ramp)");
-      return std::nullopt;
-    }
-    spec.streaming = streaming;
-  }
-
   if (!r.finish()) return std::nullopt;
 
   if (spec.sweep_axis == SweepAxis::kReplicas && !spec.include_inference) {
     set_error(error, "sweep axis replicas requires include_inference (it"
                      " only moves the analytic inference cost)");
-    return std::nullopt;
-  }
-  if ((spec.sweep_axis == SweepAxis::kArrivalRate ||
-       spec.sweep_axis == SweepAxis::kRefreshCadence) &&
-      !spec.streaming.has_value()) {
-    set_error(error, "sweep axis " +
-                         std::string(sweep_axis_name(spec.sweep_axis)) +
-                         " requires the streaming block (it only moves the"
-                         " measured streaming leg)");
     return std::nullopt;
   }
   if (spec.name.empty()) {
@@ -683,29 +589,6 @@ std::optional<ScenarioSpec> ScenarioSpec::from_json(const Json& json,
     set_error(error,
               "scenario.runner.sim_records and sim_trees must be positive");
     return std::nullopt;
-  }
-  if (spec.procs == 0) {
-    set_error(error, "scenario.runner.procs must be positive");
-    return std::nullopt;
-  }
-  if (!ipc::transport_kind_from_name(spec.transport).has_value()) {
-    set_error(error, "scenario.runner.transport: unknown transport \"" +
-                         spec.transport +
-                         "\" (expected loopback or tcp)");
-    return std::nullopt;
-  }
-  if (!spec.churn.empty()) {
-    if (spec.transport != "tcp") {
-      set_error(error,
-                "scenario.runner.churn requires transport \"tcp\"");
-      return std::nullopt;
-    }
-    if (!ipc::ChurnSchedule::parse(spec.churn).has_value()) {
-      set_error(error, "scenario.runner.churn: unparseable schedule \"" +
-                           spec.churn +
-                           "\" (expected kill|hang|join:<rank>@<tree>,...)");
-      return std::nullopt;
-    }
   }
   return spec;
 }

@@ -6,6 +6,11 @@
 // (parse -> serialize -> parse is a fixpoint), and run through
 // sim::ScenarioRunner (sim/runner.h). Adding a dataset, model ablation, or
 // DSE axis is a ~20-line JSON edit, not a new binary.
+//
+// A scenario trains its functional sample in process with gbdt::Trainer
+// and costs the step trace with the perf models; its one measured leg is
+// serving (ServingSpec). Streaming is measured by bench_stream and
+// distributed training by bench_distributed / multi_process, not here.
 #pragma once
 
 #include <cstdint>
@@ -46,13 +51,6 @@ void apply_quick(workloads::RunnerConfig* cfg);
 ///                      ensemble dealt round-robin over N chips, paper
 ///                      SS III-D); requires include_inference, since the
 ///                      axis only moves the analytic inference cost
-///   kArrivalRate    -- streaming arrival rate in rows/s fed to the
-///                      measured streaming leg (StreamingSpec
-///                      arrival_rows_per_sec); requires the streaming
-///                      block
-///   kRefreshCadence -- streaming refresh cadence in chunks
-///                      (StreamingSpec refresh_every_chunks); requires
-///                      the streaming block
 enum class SweepAxis : std::uint8_t {
   kNone = 0,
   kClusters,
@@ -60,8 +58,6 @@ enum class SweepAxis : std::uint8_t {
   kRecordScale,
   kShards,
   kReplicas,
-  kArrivalRate,
-  kRefreshCadence,
 };
 
 const char* sweep_axis_name(SweepAxis axis);
@@ -103,41 +99,6 @@ struct ServingSpec {
   bool operator==(const ServingSpec& other) const = default;
 };
 
-/// Knobs for the measured streaming leg: the runner freezes a bin map from
-/// a bootstrap chunk of the workload, streams the remaining records in
-/// chunks through a stream::Retrainer (bounded window, warm-start refresh
-/// on a cadence), and verifies each refreshed generation is bit-identical
-/// across a threads x shards grid before reporting staleness/throughput.
-/// A divergence or failed refresh fails the whole scenario.
-struct StreamingSpec {
-  /// Records binned up front to freeze the bin map (also the first window
-  /// chunk's size).
-  std::uint64_t bootstrap_rows = 4000;
-  /// Rows per streamed chunk.
-  std::uint64_t chunk_rows = 1000;
-  /// Streamed chunks after the bootstrap.
-  std::uint32_t chunks = 8;
-  /// Sliding-window capacity in chunks.
-  std::uint32_t window_chunks = 4;
-  /// Retrain + hand off after every this-many chunks.
-  std::uint32_t refresh_every_chunks = 2;
-  /// Trees added per refresh (warm start) or per generation (cold).
-  std::uint32_t refresh_trees = 8;
-  /// Continue boosting from the previous generation.
-  bool warm_start = true;
-  /// Pace ingestion to this many rows/s (0 = as fast as possible); the
-  /// kArrivalRate sweep axis overrides it per sweep point.
-  double arrival_rows_per_sec = 0.0;
-  /// Drift schedule for the synthesized stream: "none" (stationary --
-  /// chunks are fresh draws from the workload's distribution) or
-  /// "noise-ramp" (label noise ramps up to 2x over the stream, degrading
-  /// the label relation the bootstrap model learned -- the drift a refresh
-  /// counters).
-  std::string drift = "none";
-
-  bool operator==(const StreamingSpec& other) const = default;
-};
-
 struct ScenarioSpec {
   std::string name;       // identifier; matches the .json file stem
   std::string title;      // printed experiment header
@@ -172,26 +133,12 @@ struct ScenarioSpec {
   /// downstream number. Distinct from the "shards"
   /// sweep axis, which varies the perf model's scale-out projection.
   std::uint32_t shards = 1;
-  /// Ranks for the functional training runs: > 1 trains through
-  /// gbdt::DistributedTrainer over `transport` (an in-process world of
-  /// `procs` rank threads). Also bit-identical, by the same contract.
-  std::uint32_t procs = 1;
-  /// Histogram transport for procs > 1: "loopback" or "tcp".
-  std::string transport = "loopback";
-  /// tcp-only: a kill/hang/join churn schedule (ipc::ChurnSchedule
-  /// grammar, e.g. "kill:1@2,join:3@4"). Non-empty runs the functional
-  /// training through the elastic localhost-TCP world -- still
-  /// bit-identical, by the elastic membership contract.
-  std::string churn;
 
   /// Also compute each model's batch-inference cost per cell (Fig 13).
   bool include_inference = false;
 
   /// Present = also run the measured serving leg (see ServingSpec).
   std::optional<ServingSpec> serving;
-
-  /// Present = also run the measured streaming leg (see StreamingSpec).
-  std::optional<StreamingSpec> streaming;
 
   /// The workload runner config this scenario trains with.
   workloads::RunnerConfig runner_config(bool quick) const;

@@ -33,8 +33,7 @@ bool Retrainer::refresh() {
   window_.materialize(&train_arena_);
 
   gbdt::TrainerConfig tcfg = cfg_.trainer;
-  tcfg.init_model =
-      (cfg_.warm_start && latest_.has_value()) ? &*latest_ : nullptr;
+  tcfg.init_model = latest_.has_value() ? &*latest_ : nullptr;
   gbdt::TrainResult result = gbdt::Trainer(tcfg).train(train_arena_);
   latest_.emplace(std::move(result.model));
 

@@ -3,9 +3,9 @@
 // materialized view and hands the refreshed ensemble off to serving --
 // in-process through serve::ModelSlot::install, or cross-process by saving
 // the checked model_io container and POSTing /reload to a live server.
-// Warm start (TrainerConfig.init_model) continues boosting from the
-// previous generation, so a refresh trains `trainer.num_trees` *new* trees
-// on the window instead of a whole ensemble from scratch.
+// Every refresh after the first warm-starts (TrainerConfig.init_model) from
+// the previous generation, so a refresh trains `trainer.num_trees` *new*
+// trees on the window instead of a whole ensemble from scratch.
 //
 // Refreshes are deterministic: the same chunk sequence produces
 // bit-identical models at every refresh for any (threads, shards) pairing
@@ -32,15 +32,13 @@ namespace booster::stream {
 
 struct RetrainerConfig {
   /// Per-refresh training config. num_trees counts the trees *added* per
-  /// refresh when warm_start is on.
+  /// refresh: every refresh after the first continues boosting from the
+  /// previous generation (its init_model is set by the retrainer).
   gbdt::TrainerConfig trainer;
   /// Refresh (retrain + hand off) after every this-many ingested chunks.
   std::uint32_t refresh_every_chunks = 4;
   /// Window capacity in chunks (the training view of the stream).
   std::size_t window_chunks = 8;
-  /// Continue boosting from the previous generation (true) or retrain each
-  /// generation from scratch on the window (false).
-  bool warm_start = true;
   /// When non-empty, every refreshed model is saved here through the
   /// checked model_io container before hand-off.
   std::string save_path;
@@ -56,7 +54,7 @@ struct RetrainerStats {
   std::uint64_t chunks_ingested = 0;
   std::uint64_t refreshes = 0;
   /// Trees in the latest generation (grows by trainer.num_trees per
-  /// refresh under warm start).
+  /// refresh).
   std::uint64_t latest_trees = 0;
   /// Records in the window at the latest refresh.
   std::uint64_t latest_window_records = 0;

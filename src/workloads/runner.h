@@ -1,11 +1,14 @@
 // Sampled-simulation workload runner: synthesizes a dataset sample, trains
 // a prefix of the ensemble functionally, and returns the step trace scaled
 // to the nominal dataset (records) and ensemble (trees). Every bench binary
-// goes through this, so all experiments see identical workloads.
+// goes through this, so all experiments see identical workloads. Training
+// is always gbdt::Trainer in process: the trace the perf models cost is the
+// same at every shard, thread, rank and transport count, so distributed
+// training is exercised by its own tests and benches, not here.
 #pragma once
 
 #include <cstdint>
-#include <string>
+#include <vector>
 
 #include "gbdt/binning.h"
 #include "gbdt/trainer.h"
@@ -29,23 +32,6 @@ struct RunnerConfig {
   /// Output is bit-identical at every shard count, so raising this never
   /// changes results.
   std::uint32_t num_shards = 1;
-  /// Ranks for *cross-process* functional training: > 1 runs an
-  /// in-process world of `procs` rank threads through
-  /// gbdt::DistributedTrainer over `transport`, using rank 0's result and
-  /// trace. Distributed output is bit-identical to the in-process
-  /// trainer, so raising this never changes results either -- it
-  /// exercises the transport/merge stack inside the pipeline.
-  std::uint32_t procs = 1;
-  /// Histogram transport for procs > 1: "loopback" or "tcp"
-  /// (ipc::transport_kind_from_name).
-  std::string transport = "loopback";
-  /// tcp-only: a kill/hang/join schedule in ipc::ChurnSchedule grammar
-  /// ("kill:<rank>@<tree>,hang:<rank>@<tree>,join:<rank>@<tree>").
-  /// Non-empty switches the procs > 1 leg to the elastic localhost-TCP
-  /// world (gbdt::train_elastic_tcp): workers churn per the schedule and
-  /// rank 0 repartitions at tree boundaries, still bit-identical to the
-  /// single-process trainer.
-  std::string churn;
 };
 
 struct WorkloadResult {

@@ -28,6 +28,7 @@
 #include "gbdt/trainer.h"
 #include "ipc/membership.h"
 #include "ipc/tcp_transport.h"
+#include "trace/step_trace.h"
 #include "workloads/synth.h"
 
 namespace booster::gbdt {
@@ -120,6 +121,21 @@ void expect_result_bit_identical(const TrainResult& got,
   }
 }
 
+TEST(ChurnSchedule, GrammarRoundTripsAndRejectsMalformedSchedules) {
+  const auto parsed = ipc::ChurnSchedule::parse("kill:1@2,hang:2@0,join:3@4");
+  ASSERT_TRUE(parsed.has_value());
+  ASSERT_EQ(parsed->events.size(), 3u);
+  EXPECT_EQ(parsed->events[1].kind, ipc::ChurnEvent::Kind::kHang);
+  EXPECT_EQ(parsed->events[2].rank, 3u);
+  EXPECT_EQ(parsed->events[2].tree, 4u);
+  EXPECT_EQ(parsed->to_string(), "kill:1@2,hang:2@0,join:3@4");
+  EXPECT_TRUE(ipc::ChurnSchedule::parse("")->empty());
+  for (const char* bad : {"explode:1@2", "kill:1", "kill:@2", "kill:1@",
+                          "kill:x@2", "kill:1@2,join"}) {
+    EXPECT_FALSE(ipc::ChurnSchedule::parse(bad).has_value()) << bad;
+  }
+}
+
 TEST(ElasticTcp, NoChurnMatchesSingleProcessAcrossGrid) {
   const auto data = random_binned(1501, 31);
   for (const std::uint32_t procs : {2u, 4u}) {
@@ -146,13 +162,17 @@ TEST(ElasticTcp, NoChurnMatchesSingleProcessAcrossGrid) {
 TEST(ElasticTcp, KillMidTreeIsAdoptedBitIdentically) {
   const auto data = random_binned(1201, 37);
   const auto tcfg = base_config(4, 3);
-  const auto ref = Trainer(tcfg).train(data);
+  trace::StepTrace ref_trace;
+  trace::WorkloadInfo ref_info;
+  const auto ref = Trainer(tcfg).train(data, &ref_trace, &ref_info);
 
   // Rank 2 dies after shipping its root histograms of tree 1: rank 0
   // adopts its shards mid-tree (decision-log replay) and repartitions at
   // the next boundary.
-  const auto out =
-      train_elastic_tcp(make_world(tcfg, 2, "kill:2@1"), data);
+  trace::StepTrace trace;
+  trace::WorkloadInfo info;
+  const auto out = train_elastic_tcp(make_world(tcfg, 2, "kill:2@1"), data,
+                                     &trace, &info);
   ASSERT_TRUE(out.rank0.has_value());
   expect_result_bit_identical(*out.rank0, ref, data, "kill rank0");
   EXPECT_EQ(out.crashed, 1u);
@@ -161,6 +181,28 @@ TEST(ElasticTcp, KillMidTreeIsAdoptedBitIdentically) {
   EXPECT_GE(out.rank0_stats.repartitions, 1u);
   ASSERT_EQ(out.completed.size(), 1u) << "rank 1 must ride out the churn";
   expect_result_bit_identical(out.completed[0], ref, data, "kill survivor");
+
+  // Rank 0's step trace under churn is the plain trainer's, event for
+  // event: adoption replays the dead rank's shards without emitting
+  // anything the in-process run would not.
+  ASSERT_EQ(trace.events().size(), ref_trace.events().size());
+  for (std::size_t i = 0; i < ref_trace.events().size(); ++i) {
+    const auto& a = trace.events()[i];
+    const auto& b = ref_trace.events()[i];
+    EXPECT_EQ(a.kind, b.kind) << "event " << i;
+    EXPECT_EQ(a.tree, b.tree) << "event " << i;
+    EXPECT_EQ(a.depth, b.depth) << "event " << i;
+    EXPECT_EQ(a.records, b.records) << "event " << i;
+    EXPECT_EQ(a.fields_touched, b.fields_touched) << "event " << i;
+    EXPECT_EQ(a.record_fields, b.record_fields) << "event " << i;
+    EXPECT_EQ(a.bins_scanned, b.bins_scanned) << "event " << i;
+    EXPECT_EQ(a.histograms, b.histograms) << "event " << i;
+    EXPECT_EQ(a.avg_path_length, b.avg_path_length) << "event " << i;
+    EXPECT_EQ(a.used_sibling_subtraction, b.used_sibling_subtraction)
+        << "event " << i;
+  }
+  EXPECT_EQ(info.avg_leaf_depth, ref_info.avg_leaf_depth);
+  EXPECT_EQ(info.bins_per_field, ref_info.bins_per_field);
 }
 
 TEST(ElasticTcp, HangIsDetectedWithinTheConfiguredDeadline) {

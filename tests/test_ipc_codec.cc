@@ -88,37 +88,45 @@ TEST(IpcCodec, HistogramEncodeDecodeFixpointOnRandomizedShapes) {
         BinStats{9007199254740992.0, gbdt::kStatSumCapacity,
                  -gbdt::kStatSumCapacity};
 
-    std::vector<std::uint8_t> payload;
-    HistogramCodec::encode_histogram(h, &payload);
-    EXPECT_EQ(payload.size(), HistogramCodec::encoded_histogram_bytes(h));
+    const auto tree = static_cast<std::uint32_t>(rng.next_below(1000));
+    const auto build_seq = static_cast<std::uint32_t>(rng.next_below(1000));
+    const auto shard = static_cast<std::uint32_t>(rng.next_below(64));
+    const auto payload =
+        HistogramCodec::encode_shard_histogram(tree, build_seq, shard, h);
+    EXPECT_EQ(payload.size(), 12 + HistogramCodec::encoded_histogram_bytes(h));
 
-    ByteReader r(payload);
-    Histogram decoded;
-    ASSERT_TRUE(HistogramCodec::decode_histogram(r, &decoded));
-    EXPECT_TRUE(r.exhausted());
-    expect_histograms_bit_equal(h, decoded);
-
-    // The pooled variant decodes into a same-shape buffer...
+    // The receiver decodes into a same-shape pooled buffer whose old bins
+    // are stale: every {count, g, h} is overwritten.
     Histogram into(shape);
-    ByteReader r2(payload);
-    ASSERT_TRUE(HistogramCodec::decode_histogram_into(r2, &into));
+    for (std::uint32_t f = 0; f < into.num_fields(); ++f) {
+      for (BinStats& b : into.mutable_field(f)) b = BinStats{5.0, -5.0, 5.0};
+    }
+    ShardHistogramMsg msg;
+    ASSERT_TRUE(
+        HistogramCodec::decode_shard_histogram_into(payload, &msg, &into));
+    EXPECT_EQ(msg.tree, tree);
+    EXPECT_EQ(msg.build_seq, build_seq);
+    EXPECT_EQ(msg.shard, shard);
     expect_histograms_bit_equal(h, into);
     // The pad lane never crosses the wire: decoded bins keep it +0.0.
-    for (const Histogram* d : {&decoded, &into}) {
-      for (std::uint32_t f = 0; f < d->num_fields(); ++f) {
-        for (const BinStats& b : d->field(f)) {
-          EXPECT_TRUE(b.pad == 0.0 && !std::signbit(b.pad));
-        }
+    for (std::uint32_t f = 0; f < into.num_fields(); ++f) {
+      for (const BinStats& b : into.field(f)) {
+        EXPECT_TRUE(b.pad == 0.0 && !std::signbit(b.pad));
       }
     }
   }
-  // ...and rejects a shape mismatch instead of writing out of shape.
-  Histogram h(std::vector<std::uint32_t>{2, 3});
-  std::vector<std::uint8_t> payload;
-  HistogramCodec::encode_histogram(h, &payload);
+  // A shape mismatch is rejected instead of writing out of shape, and so
+  // is a payload with trailing bytes.
+  const Histogram h(std::vector<std::uint32_t>{2, 3});
+  auto payload = HistogramCodec::encode_shard_histogram(0, 0, 0, h);
+  ShardHistogramMsg msg;
   Histogram wrong_shape(std::vector<std::uint32_t>{3, 2});
-  ByteReader r(payload);
-  EXPECT_FALSE(HistogramCodec::decode_histogram_into(r, &wrong_shape));
+  EXPECT_FALSE(HistogramCodec::decode_shard_histogram_into(payload, &msg,
+                                                           &wrong_shape));
+  payload.push_back(0);
+  Histogram right_shape(std::vector<std::uint32_t>{2, 3});
+  EXPECT_FALSE(HistogramCodec::decode_shard_histogram_into(payload, &msg,
+                                                           &right_shape));
 }
 
 TEST(IpcCodec, GoldenFrameLayoutIsPinned) {
@@ -133,14 +141,10 @@ TEST(IpcCodec, GoldenFrameLayoutIsPinned) {
   h.mutable_field(1)[0] = BinStats{0.0, 0.0, 0.0};
   h.mutable_field(1)[1] = BinStats{3.0, 1.5, 0.75};
   h.mutable_field(1)[2] = BinStats{1.0, -1.0, 2.0};
-  ShardHistogramMsg msg;
-  msg.tree = 1;
-  msg.build_seq = 2;
-  msg.shard = 3;
-  msg.histogram = std::move(h);
   const auto frame = HistogramCodec::encode_frame(
       MessageType::kShardHistogram, 7,
-      HistogramCodec::encode_shard_histogram(msg));
+      HistogramCodec::encode_shard_histogram(/*tree=*/1, /*build_seq=*/2,
+                                             /*shard=*/3, h));
 
   const std::vector<std::uint8_t> golden = {
       0x42, 0x53, 0x54, 0x52, 0x01, 0x00, 0x01, 0x00, 0x07, 0x00, 0x00, 0x00,
@@ -164,11 +168,13 @@ TEST(IpcCodec, GoldenFrameLayoutIsPinned) {
   Frame decoded;
   ASSERT_EQ(HistogramCodec::decode_frame(golden, &decoded), DecodeStatus::kOk);
   ShardHistogramMsg out;
-  ASSERT_TRUE(HistogramCodec::decode_shard_histogram(decoded.payload, &out));
+  Histogram into(bins);
+  ASSERT_TRUE(HistogramCodec::decode_shard_histogram_into(decoded.payload,
+                                                          &out, &into));
   EXPECT_EQ(out.tree, 1u);
   EXPECT_EQ(out.build_seq, 2u);
   EXPECT_EQ(out.shard, 3u);
-  expect_histograms_bit_equal(out.histogram, msg.histogram);
+  expect_histograms_bit_equal(into, h);
 }
 
 TEST(IpcCodec, MalformedFramesAreRejectedWithDistinctErrors) {

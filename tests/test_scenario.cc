@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 #include "baselines/cpu_like.h"
 #include "baselines/inter_record.h"
@@ -88,12 +89,19 @@ TEST(ScenarioSpec, BuiltinSpecsRoundTripLosslessly) {
 }
 
 TEST(ScenarioSpec, UnknownTopLevelKeyIsAnError) {
-  std::string error;
-  const auto doc =
-      Json::parse(R"({"name": "x", "bogus_knob": 1})", &error);
-  ASSERT_TRUE(doc.has_value()) << error;
-  EXPECT_FALSE(ScenarioSpec::from_json(*doc, &error).has_value());
-  EXPECT_NE(error.find("bogus_knob"), std::string::npos) << error;
+  // Unknown keys fail loudly, including the retired "streaming" block and
+  // runner "procs" knob: a stale spec file must not be silently ignored.
+  for (const auto& [text, key] :
+       {std::pair<const char*, const char*>{
+            R"({"name": "x", "bogus_knob": 1})", "bogus_knob"},
+        {R"({"name": "x", "streaming": {}})", "streaming"},
+        {R"({"name": "x", "runner": {"procs": 2}})", "procs"}}) {
+    std::string error;
+    const auto doc = Json::parse(text, &error);
+    ASSERT_TRUE(doc.has_value()) << error;
+    EXPECT_FALSE(ScenarioSpec::from_json(*doc, &error).has_value()) << text;
+    EXPECT_NE(error.find(key), std::string::npos) << error;
+  }
 }
 
 TEST(ScenarioSpec, UnknownBoosterDeltaKeyIsAnError) {
@@ -155,85 +163,6 @@ TEST(ScenarioSpec, UserDefinedDatasetRoundTrips) {
             d.categorical_cardinalities);
   EXPECT_EQ(reparsed->label_structure, d.label_structure);
   EXPECT_TRUE(dataset_to_json(*reparsed) == j);
-}
-
-TEST(ScenarioSpec, StreamingBlockRoundTripsWithNonDefaults) {
-  auto spec = *builtin_scenario("streaming");
-  ASSERT_TRUE(spec.streaming.has_value());
-  spec.streaming->bootstrap_rows = 5000;
-  spec.streaming->chunk_rows = 250;
-  spec.streaming->window_chunks = 6;
-  spec.streaming->warm_start = false;
-  spec.streaming->arrival_rows_per_sec = 1500.5;
-
-  const Json j = spec.to_json();
-  const Json* st = j.find("streaming");
-  ASSERT_NE(st, nullptr);
-  EXPECT_DOUBLE_EQ(st->find("bootstrap_rows")->as_double(), 5000.0);
-  EXPECT_DOUBLE_EQ(st->find("arrival_rows_per_sec")->as_double(), 1500.5);
-  // Defaults stay out of the serialized form (lossless minimal JSON).
-  EXPECT_EQ(st->find("refresh_trees"), nullptr);
-  EXPECT_EQ(st->find("chunks"), nullptr);
-
-  std::string error;
-  const auto reparsed = ScenarioSpec::from_json(j, &error);
-  ASSERT_TRUE(reparsed.has_value()) << error;
-  EXPECT_TRUE(*reparsed == spec);
-  ASSERT_TRUE(reparsed->streaming.has_value());
-  EXPECT_EQ(reparsed->streaming->chunk_rows, 250u);
-  EXPECT_FALSE(reparsed->streaming->warm_start);
-}
-
-TEST(ScenarioSpec, StreamingBlockIsValidated) {
-  const auto parse = [](const std::string& text, std::string* error) {
-    const auto doc = Json::parse(text, error);
-    EXPECT_TRUE(doc.has_value()) << *error;
-    return ScenarioSpec::from_json(*doc, error);
-  };
-  std::string error;
-  // Zero chunk_rows, bad drift name, unknown key: all parse errors.
-  EXPECT_FALSE(
-      parse(R"({"name": "x", "streaming": {"chunk_rows": 0}})", &error)
-          .has_value());
-  EXPECT_NE(error.find("must be positive"), std::string::npos) << error;
-  error.clear();
-  EXPECT_FALSE(
-      parse(R"({"name": "x", "streaming": {"drift": "tectonic"}})", &error)
-          .has_value());
-  EXPECT_NE(error.find("tectonic"), std::string::npos) << error;
-  error.clear();
-  EXPECT_FALSE(
-      parse(R"({"name": "x", "streaming": {"bogus": 1}})", &error)
-          .has_value());
-  EXPECT_NE(error.find("bogus"), std::string::npos) << error;
-}
-
-TEST(ScenarioSpec, StreamingSweepAxesRequireTheStreamingBlock) {
-  const auto parse = [](const std::string& text, std::string* error) {
-    const auto doc = Json::parse(text, error);
-    EXPECT_TRUE(doc.has_value()) << *error;
-    return ScenarioSpec::from_json(*doc, error);
-  };
-  std::string error;
-  for (const std::string axis : {"arrival-rate", "refresh-cadence"}) {
-    // Without a streaming block the axis has nothing to act on: error.
-    EXPECT_FALSE(parse(R"({"name": "x", "sweep": {"axis": ")" + axis +
-                           R"(", "values": [1]}})",
-                       &error)
-                     .has_value())
-        << axis;
-    EXPECT_NE(error.find(axis), std::string::npos) << error;
-    error.clear();
-    // With the block it parses, and the axis name round-trips.
-    const auto ok = parse(R"({"name": "x", "streaming": {},
-                              "sweep": {"axis": ")" +
-                              axis + R"(", "values": [1, 2]}})",
-                          &error);
-    ASSERT_TRUE(ok.has_value()) << axis << ": " << error;
-    EXPECT_EQ(sweep_axis_name(ok->sweep_axis), axis);
-    EXPECT_TRUE(ScenarioSpec::from_json(ok->to_json(), &error).has_value())
-        << error;
-  }
 }
 
 // ----------------------------------------------------------- registries
@@ -464,144 +393,6 @@ TEST(ShardSweep, AxisAndRunnerShardsRoundTripThroughJson) {
   EXPECT_EQ(reparsed->sweep_axis, SweepAxis::kShards);
   EXPECT_EQ(reparsed->shards, 4u);
   EXPECT_EQ(reparsed->sweep_values, spec->sweep_values);
-}
-
-TEST(DistributedRunner, ProcsAndTransportRoundTripThroughJson) {
-  auto spec = *builtin_scenario("dse_shard_sweep");
-  spec.procs = 2;
-  spec.transport = "tcp";
-  const Json j = spec.to_json();
-  const Json* runner = j.find("runner");
-  ASSERT_NE(runner, nullptr);
-  EXPECT_DOUBLE_EQ(runner->find("procs")->as_double(), 2.0);
-  EXPECT_EQ(runner->find("transport")->as_string(), "tcp");
-
-  std::string error;
-  const auto reparsed = ScenarioSpec::from_json(j, &error);
-  ASSERT_TRUE(reparsed.has_value()) << error;
-  EXPECT_TRUE(*reparsed == spec);
-  EXPECT_EQ(reparsed->procs, 2u);
-  EXPECT_EQ(reparsed->transport, "tcp");
-
-  // Defaults stay out of the serialized form (lossless minimal JSON).
-  const auto defaults = *builtin_scenario("dse_shard_sweep");
-  const Json dj = defaults.to_json();
-  const Json* drunner = dj.find("runner");
-  ASSERT_NE(drunner, nullptr);
-  EXPECT_EQ(drunner->find("procs"), nullptr);
-  EXPECT_EQ(drunner->find("transport"), nullptr);
-
-  // The knobs reach the workload runner config.
-  const auto rcfg = reparsed->runner_config(/*quick=*/false);
-  EXPECT_EQ(rcfg.procs, 2u);
-  EXPECT_EQ(rcfg.transport, "tcp");
-}
-
-TEST(DistributedRunner, ChurnRoundTripsAndIsValidated) {
-  auto spec = *builtin_scenario("dse_shard_sweep");
-  spec.procs = 3;
-  spec.transport = "tcp";
-  spec.churn = "kill:1@2,join:3@4";
-  const Json j = spec.to_json();
-  const Json* runner = j.find("runner");
-  ASSERT_NE(runner, nullptr);
-  EXPECT_EQ(runner->find("churn")->as_string(), "kill:1@2,join:3@4");
-
-  std::string error;
-  const auto reparsed = ScenarioSpec::from_json(j, &error);
-  ASSERT_TRUE(reparsed.has_value()) << error;
-  EXPECT_TRUE(*reparsed == spec);
-  EXPECT_EQ(reparsed->churn, "kill:1@2,join:3@4");
-  const auto rcfg = reparsed->runner_config(/*quick=*/false);
-  EXPECT_EQ(rcfg.transport, "tcp");
-  EXPECT_EQ(rcfg.churn, "kill:1@2,join:3@4");
-
-  // churn without tcp is rejected.
-  spec.transport = "loopback";
-  error.clear();
-  EXPECT_FALSE(ScenarioSpec::from_json(spec.to_json(), &error).has_value());
-  EXPECT_NE(error.find("churn"), std::string::npos) << error;
-
-  // An unparseable schedule is rejected.
-  spec.transport = "tcp";
-  spec.churn = "explode:1@2";
-  error.clear();
-  EXPECT_FALSE(ScenarioSpec::from_json(spec.to_json(), &error).has_value());
-  EXPECT_NE(error.find("churn"), std::string::npos) << error;
-}
-
-TEST(DistributedRunner, BadTransportAndZeroProcsAreParseErrors) {
-  auto spec = *builtin_scenario("dse_shard_sweep");
-  std::string error;
-  for (const char* name : {"carrier-pigeon", "file", "socket"}) {
-    spec.transport = name;
-    error.clear();
-    EXPECT_FALSE(ScenarioSpec::from_json(spec.to_json(), &error).has_value())
-        << name;
-    EXPECT_NE(error.find("transport"), std::string::npos) << error;
-  }
-
-  spec = *builtin_scenario("dse_shard_sweep");
-  spec.procs = 0;
-  error.clear();
-  EXPECT_FALSE(ScenarioSpec::from_json(spec.to_json(), &error).has_value());
-  EXPECT_NE(error.find("procs"), std::string::npos) << error;
-}
-
-TEST(DistributedRunner, ProcsLegTrainsBitIdenticallyToInProcess) {
-  // runner.procs routes the functional sample through the distributed
-  // trainer; by the bit-identity contract nothing downstream may change.
-  workloads::RunnerConfig base;
-  base.sim_records = 2000;
-  base.sim_trees = 3;
-  base.num_shards = 3;
-  workloads::RunnerConfig dist = base;
-  dist.procs = 2;
-  dist.transport = "loopback";
-
-  const auto spec = workloads::fraud_spec();
-  const auto a = workloads::run_workload(spec, base);
-  const auto b = workloads::run_workload(spec, dist);
-  ASSERT_EQ(a.train.model.num_trees(), b.train.model.num_trees());
-  ASSERT_EQ(a.trace.events().size(), b.trace.events().size());
-  for (std::size_t t = 0; t < a.train.tree_stats.size(); ++t) {
-    EXPECT_EQ(a.train.tree_stats[t].train_loss,
-              b.train.tree_stats[t].train_loss);
-  }
-  for (std::uint64_t r = 0; r < a.binned.num_records(); r += 127) {
-    EXPECT_EQ(a.train.model.predict_raw(a.binned, r),
-              b.train.model.predict_raw(b.binned, r));
-  }
-  EXPECT_EQ(a.info.avg_leaf_depth, b.info.avg_leaf_depth);
-}
-
-TEST(DistributedRunner, ChurnLegTrainsBitIdenticallyOverElasticTcp) {
-  // runner.transport=tcp + runner.churn routes the functional sample
-  // through the elastic localhost-TCP world with a scheduled mid-run
-  // kill; the final model and trace must still match the plain trainer.
-  workloads::RunnerConfig base;
-  base.sim_records = 2000;
-  base.sim_trees = 4;
-  base.num_shards = 3;
-  workloads::RunnerConfig churned = base;
-  churned.procs = 3;
-  churned.transport = "tcp";
-  churned.churn = "kill:2@1";
-
-  const auto spec = workloads::fraud_spec();
-  const auto a = workloads::run_workload(spec, base);
-  const auto b = workloads::run_workload(spec, churned);
-  ASSERT_EQ(a.train.model.num_trees(), b.train.model.num_trees());
-  ASSERT_EQ(a.trace.events().size(), b.trace.events().size());
-  for (std::size_t t = 0; t < a.train.tree_stats.size(); ++t) {
-    EXPECT_EQ(a.train.tree_stats[t].train_loss,
-              b.train.tree_stats[t].train_loss);
-  }
-  for (std::uint64_t r = 0; r < a.binned.num_records(); r += 127) {
-    EXPECT_EQ(a.train.model.predict_raw(a.binned, r),
-              b.train.model.predict_raw(b.binned, r));
-  }
-  EXPECT_EQ(a.info.avg_leaf_depth, b.info.avg_leaf_depth);
 }
 
 TEST(ShardSweep, NonIntegerShardValuesAreErrors) {
