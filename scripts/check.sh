@@ -111,17 +111,19 @@ if [[ "${BOOSTER_SKIP_SANITIZE:-0}" != "1" ]]; then
   # reliable channel's heartbeat/liveness machinery, the elastic TCP
   # worlds (worker incarnations on threads), the thread pool, the
   # serving tests (event loop + off-loop reload worker + client threads
-  # sharing the ModelSlot and the reload mailbox), and the threaded
+  # sharing the ModelSlot and the reload mailbox), the threaded
   # trainer hot path (parallel histogram build, partition, and the step-5
-  # leaf scatter). TSan and ASan cannot share a build, hence the third
-  # tree.
+  # leaf scatter), and the streaming suite (every warm-start refresh runs
+  # ShardGroup::reset, whose tasks read the carried predictions of the
+  # previous refresh concurrently while each writes its own rows). TSan
+  # and ASan cannot share a build, hence the third tree.
   TSAN_DIR="${BUILD_DIR}-tsan"
   cmake -B "$TSAN_DIR" -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DBOOSTER_SANITIZE=thread
   cmake --build "$TSAN_DIR" -j "$(nproc)"
   ctest --test-dir "$TSAN_DIR" --output-on-failure -j "$(nproc)" \
-    -R '(ipc|distributed|elastic|sharded|thread_pool|serve|hotpath|trainer)'
+    -R '(ipc|distributed|elastic|sharded|thread_pool|serve|hotpath|trainer|stream)'
 
   # The pool's spin-then-park hand-off under TSan, by name and repeated so
   # that a -R change above cannot drop it and a rare interleaving (a

@@ -201,6 +201,15 @@ TrainResult DistributedTrainer::coordinate(const BinnedDataset& data,
   std::vector<Standing> standing(world, Standing::kNever);
 
   const double base_score = initial_base_score(data, *loss, tcfg);
+  BOOSTER_CHECK_MSG(tcfg.init_predictions.empty() || tcfg.init_model != nullptr,
+                    "warm start: init_predictions without an init_model");
+  BOOSTER_CHECK_MSG(tcfg.init_predictions.size() <= n,
+                    "warm start: more init_predictions than records");
+  // Rank 0's groups (its own and adopted ones) start the carried rows
+  // from init_predictions, which hold the init model's trees, and replay
+  // only the trees finished since on top.
+  const std::uint32_t carried_trees =
+      tcfg.init_model == nullptr ? 0 : tcfg.init_model->num_trees();
 
   // Rank 0's groups: exactly one covering its current assignment at every
   // tree start; mid-tree adoptions append temporaries that the next
@@ -318,7 +327,8 @@ TrainResult DistributedTrainer::coordinate(const BinnedDataset& data,
     groups.clear();
     groups.push_back(
         std::make_unique<ShardGroup>(data, tcfg, num_shards, b0, e0, &pool));
-    groups[0]->reset(*loss, result.model);
+    groups[0]->reset(*loss, result.model, tcfg.init_predictions,
+                     carried_trees);
     my_begin = b0;
     my_end = e0;
   };
@@ -370,7 +380,7 @@ TrainResult DistributedTrainer::coordinate(const BinnedDataset& data,
     auto g = std::make_unique<ShardGroup>(data, tcfg, num_shards,
                                           remote.shard_begin,
                                           remote.shard_end, &pool);
-    g->reset(*loss, result.model);
+    g->reset(*loss, result.model, tcfg.init_predictions, carried_trees);
     g->begin_tree(n);
     std::size_t replay = 0;
     while (!g->frontier_empty()) {
@@ -794,6 +804,8 @@ TrainResult DistributedTrainer::coordinate(const BinnedDataset& data,
               return a->shard_begin() < b->shard_begin();
             });
   fill_hot_path(pool, num_shards, data, groups, &result.hot_path);
+  // The single-rank world's one group covers every row.
+  if (world == 1) result.predictions = groups[0]->take_predictions();
   result.hot_path.histogram_merges = driver_merges;
   result.hot_path.histogram_allocations +=
       merged_pool.allocations() + rx_pool.allocations();

@@ -62,7 +62,7 @@ namespace {
 
 /// The tile loop of FlatEnsemble::accumulate, for either accumulator.
 template <class Acc>
-void accumulate_tiles(const std::vector<FlatTree>& trees,
+void accumulate_tiles(std::span<const FlatTree> trees,
                       const BinIndex* const* columns, std::uint64_t first,
                       std::uint64_t count, Acc* acc) {
   if (trees.empty()) return;
@@ -89,8 +89,10 @@ void FlatEnsemble::accumulate(const BinIndex* const* columns,
 
 void FlatEnsemble::accumulate(const BinIndex* const* columns,
                               std::uint64_t first, std::uint64_t count,
-                              float* acc) const {
-  accumulate_tiles(trees_, columns, first, count, acc);
+                              float* acc, std::uint32_t first_tree) const {
+  BOOSTER_CHECK(first_tree <= trees_.size());
+  accumulate_tiles(std::span<const FlatTree>(trees_).subspan(first_tree),
+                   columns, first, count, acc);
 }
 
 void FlatEnsemble::predict_raw_many(const BinIndex* const* columns,

@@ -87,11 +87,14 @@ class FlatEnsemble {
   /// The tile loop: for records [first, first + count) of the columns,
   /// acc[i] += w_t(first + i) for every tree t in ensemble order (no base
   /// score). The double form adds the weights as they are; the float form
-  /// adds static_cast<float>(w_t) -- the warm-start replay's predictions.
+  /// adds static_cast<float>(w_t) -- the warm-start replay's predictions
+  /// -- for trees t >= first_tree only (rows whose carried predictions
+  /// already hold the earlier trees).
   void accumulate(const BinIndex* const* columns, std::uint64_t first,
                   std::uint64_t count, double* acc) const;
   void accumulate(const BinIndex* const* columns, std::uint64_t first,
-                  std::uint64_t count, float* acc) const;
+                  std::uint64_t count, float* acc,
+                  std::uint32_t first_tree = 0) const;
 
  private:
   std::vector<FlatTree> trees_;

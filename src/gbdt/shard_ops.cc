@@ -104,20 +104,32 @@ double ShardGroup::refresh_rows(const Loss& loss, std::uint64_t begin,
       std::span<GradientPair>(gradients_).subspan(first, count), with_loss);
 }
 
-void ShardGroup::reset(const Loss& loss, const Model& model) {
+void ShardGroup::reset(const Loss& loss, const Model& model,
+                       std::span<const float> carried,
+                       std::uint32_t carried_trees) {
   if (num_local() == 0) return;
+  BOOSTER_CHECK(carried.size() <= data_.num_records() &&
+                carried_trees <= model.num_trees());
   const FlatEnsemble flat(model);
   const float base = static_cast<float>(model.base_score());
+  const std::uint64_t carried_end = carried.size();
   pool_->run_tasks(num_local() * sub_, [&](unsigned task) {
     const Shard& sh = shards_[task / sub_];
     const auto [b, e] =
         chunk_range(sh.row_begin, sh.row_end, task % sub_, sub_);
-    // Tile-major over the chunk: every tree on one tile of rows, each row
-    // adding (float)w tree by tree -- the float adds a refresh per tree
-    // would make -- then one refresh for the whole chunk.
+    // Rows [b, mid) start from their carried predictions and add the
+    // trees after carried_trees; rows [mid, e) start from the base score
+    // and add every tree. Tile-major either way: every tree on one tile
+    // of rows, each row adding (float)w tree by tree -- the float adds a
+    // refresh per tree would make -- then one refresh for the whole chunk.
+    const std::uint64_t mid = std::clamp(carried_end, b, e);
     float* preds = preds_.data() + (b - row_base_);
-    std::fill(preds, preds + (e - b), base);
-    flat.accumulate(col_ptrs_.data(), b, e - b, preds);
+    if (mid > b) {
+      std::copy(carried.data() + b, carried.data() + mid, preds);
+      flat.accumulate(col_ptrs_.data(), b, mid - b, preds, carried_trees);
+    }
+    std::fill(preds + (mid - b), preds + (e - b), base);
+    flat.accumulate(col_ptrs_.data(), mid, e - mid, preds + (mid - b));
     refresh_rows(loss, b, e, /*add_deltas=*/false, /*with_loss=*/false);
   });
 }

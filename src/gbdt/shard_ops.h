@@ -76,14 +76,20 @@ class ShardGroup {
   /// Sets the owned rows' predictions to `model`'s output and refreshes
   /// their gradients: the start of training (a model with no trees yet),
   /// a warm start (the init model's trees), and a rebuilt, adopted or
-  /// joining group catching up to the trees finished so far. The model is
-  /// flattened once; each (shard, sub-chunk) task then walks its rows
-  /// tile-major through FlatEnsemble::accumulate -- every tree on one tile
-  /// of rows, pred += (float)w in tree order from (float)base_score, the
-  /// float adds a per-tree refresh makes -- and ends with one
-  /// Loss::refresh, so predictions and gradients equal those of replaying
-  /// the trees one refresh at a time, bit for bit.
-  void reset(const Loss& loss, const Model& model);
+  /// joining group catching up to the trees finished so far. `carried`
+  /// (indexed by global row, possibly empty) holds the float predictions
+  /// of `model`'s first `carried_trees` trees for rows [0, m): a warm
+  /// start's TrainerConfig::init_predictions. The model is flattened
+  /// once; each (shard, sub-chunk) task then copies the part of its rows
+  /// inside [0, m) from `carried` and adds the later trees there, fills
+  /// the rest with (float)base_score and adds every tree -- both through
+  /// FlatEnsemble::accumulate, tile-major, pred += (float)w in tree order,
+  /// the float adds a per-tree refresh makes -- and ends with one
+  /// Loss::refresh. So predictions and gradients equal those of replaying
+  /// the trees one refresh at a time, bit for bit, whatever m is.
+  void reset(const Loss& loss, const Model& model,
+             std::span<const float> carried = {},
+             std::uint32_t carried_trees = 0);
 
   // --- tree growth (all groups must see the same call sequence) ---
 
@@ -133,6 +139,9 @@ class ShardGroup {
   /// row: predictions and gradient pairs.
   std::span<const float> predictions() const { return preds_; }
   std::span<const GradientPair> gradients() const { return gradients_; }
+  /// Moves the predictions out, leaving the group without step-5 state:
+  /// the single-rank world's TrainResult::predictions once training ends.
+  std::vector<float> take_predictions() { return std::move(preds_); }
 
   /// Per-shard diagnostics (rows, pool counters, arena bytes, sub-chunk
   /// count), in local shard order.

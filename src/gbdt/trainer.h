@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -59,14 +60,25 @@ struct TrainerConfig {
   std::uint32_t num_shards = 1;
   /// Warm start: continue boosting from this ensemble instead of from
   /// scratch. The base score and loss come from the init model (the
-  /// config's `loss` must name the same loss), its trees are copied into
-  /// the result, and gradients are re-seeded by replaying them through the
-  /// fixed-depth traversal kernel with the per-record arithmetic of step 5
-  /// (ShardGroup::reset) -- so a warm-started run is bit-identical across
-  /// threads, shards, and SIMD levels exactly like a cold one. `num_trees`
-  /// counts *additional* trees on top of the init model. Non-owning: the
-  /// caller keeps the model alive through train().
+  /// config's `loss` must name the same loss) and its trees are copied into
+  /// the result. Rows without an init_predictions value get their
+  /// predictions by replaying the trees through the fixed-depth traversal
+  /// kernel with the per-record arithmetic of step 5 (ShardGroup::reset),
+  /// so a warm-started run is bit-identical across threads, shards, and
+  /// SIMD levels exactly like a cold one. `num_trees` counts *additional*
+  /// trees on top of the init model. Non-owning: the caller keeps the
+  /// model alive through train().
   const Model* init_model = nullptr;
+  /// Carried step-5 state of a warm start: the float predictions of
+  /// `init_model` for rows [0, m), indexed by row, m <= the record count
+  /// -- typically the suffix of an earlier run's TrainResult::predictions
+  /// whose rows begin this dataset. Only with init_model. Those rows start
+  /// from these values; only rows [m, n) are replayed. The values equal
+  /// the replayed ones bit for bit when they come from training on the
+  /// same rows (both add (float)w per tree in tree order from
+  /// (float)base_score), so the result does not depend on m. Rank 0 reads
+  /// it; worker ranks replay their rows. Non-owning, like init_model.
+  std::span<const float> init_predictions{};
 };
 
 /// Per-tree training diagnostics.
@@ -143,6 +155,13 @@ struct TrainResult {
   /// num_trees (the model then holds fewer trees).
   bool early_stopped = false;
   HotPathStats hot_path{};
+  /// Final float step-5 predictions of every row (base score plus every
+  /// tree's float weight, the values the last tree's gradients came
+  /// from), indexed by row: what a later warm start on overlapping rows
+  /// passes back as TrainerConfig::init_predictions. Filled in the
+  /// single-rank world (gbdt::Trainer); empty on every rank of a
+  /// multi-rank world, whose rows are spread over processes.
+  std::vector<float> predictions{};
 };
 
 class Trainer {

@@ -11,7 +11,7 @@ ChunkWindow::ChunkWindow(const FrozenBinMap& map, std::size_t max_chunks)
   BOOSTER_CHECK_MSG(max_chunks_ > 0, "window must hold at least one chunk");
 }
 
-void ChunkWindow::push(const gbdt::Dataset& chunk) {
+std::uint64_t ChunkWindow::push(const gbdt::Dataset& chunk) {
   gbdt::BinnedDataset arena;
   if (!free_.empty()) {
     arena = std::move(free_.back());
@@ -21,11 +21,14 @@ void ChunkWindow::push(const gbdt::Dataset& chunk) {
   }
   map_->bin_chunk(chunk, &arena);
   window_.push_back(std::move(arena));
+  std::uint64_t evicted = 0;
   if (window_.size() > max_chunks_) {
+    evicted = window_.front().num_records();
     free_.push_back(std::move(window_.front()));
     window_.pop_front();
   }
   ++pushes_;
+  return evicted;
 }
 
 std::uint64_t ChunkWindow::num_records() const {

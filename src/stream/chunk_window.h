@@ -25,8 +25,9 @@ class ChunkWindow {
 
   /// Bins `chunk` into a recycled arena and appends it to the window,
   /// evicting the oldest chunk (arena returned to the free list) when the
-  /// window is at capacity.
-  void push(const gbdt::Dataset& chunk);
+  /// window is at capacity. Returns the records evicted (0 when nothing
+  /// was): they leave the front of the materialized view.
+  std::uint64_t push(const gbdt::Dataset& chunk);
 
   std::size_t size() const { return window_.size(); }
   std::uint64_t num_records() const;

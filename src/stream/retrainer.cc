@@ -1,5 +1,6 @@
 #include "stream/retrainer.h"
 
+#include <span>
 #include <utility>
 
 #include "gbdt/model_io.h"
@@ -20,7 +21,7 @@ Retrainer::Retrainer(const FrozenBinMap& map, RetrainerConfig cfg)
 }
 
 bool Retrainer::ingest(const gbdt::Dataset& chunk) {
-  window_.push(chunk);
+  evicted_since_refresh_ += window_.push(chunk);
   ++stats_.chunks_ingested;
   if (++chunks_since_refresh_ < cfg_.refresh_every_chunks) return false;
   chunks_since_refresh_ = 0;
@@ -34,12 +35,23 @@ bool Retrainer::refresh() {
 
   gbdt::TrainerConfig tcfg = cfg_.trainer;
   tcfg.init_model = latest_.has_value() ? &*latest_ : nullptr;
+  // Evictions leave the front and new chunks join the back, so the rows
+  // still in the window are predictions_'s suffix and the window's prefix.
+  if (evicted_since_refresh_ < predictions_.size()) {
+    tcfg.init_predictions =
+        std::span<const float>(predictions_).subspan(evicted_since_refresh_);
+  }
   gbdt::TrainResult result = gbdt::Trainer(tcfg).train(train_arena_);
   latest_.emplace(std::move(result.model));
+  latest_tree_stats_ = std::move(result.tree_stats);
 
   ++stats_.refreshes;
   stats_.latest_trees = latest_->num_trees();
   stats_.latest_window_records = train_arena_.num_records();
+  stats_.replayed_rows =
+      train_arena_.num_records() - tcfg.init_predictions.size();
+  predictions_ = std::move(result.predictions);
+  evicted_since_refresh_ = 0;
 
   bool ok = true;
   if (!cfg_.save_path.empty()) {

@@ -7,20 +7,31 @@
 // the previous generation, so a refresh trains `trainer.num_trees` *new*
 // trees on the window instead of a whole ensemble from scratch.
 //
+// A refresh does not re-derive the whole window's predictions either. The
+// window evicts chunks from the front and appends them at the back, so the
+// rows that survived since the previous refresh are the previous window's
+// suffix and this window's prefix. Their step-5 predictions, kept from the
+// previous refresh's TrainResult::predictions, are passed on as
+// TrainerConfig.init_predictions, and only the chunks ingested since are
+// replayed through the ensemble (gbdt::ShardGroup::reset, tile-major
+// through the fixed-depth traversal kernel). So a refresh's replay costs
+// the new rows times the tree count, not the window times it
+// (RetrainerStats::replayed_rows).
+//
 // Refreshes are deterministic: the same chunk sequence produces
 // bit-identical models at every refresh for any (threads, shards) pairing
-// -- the warm-start replay (gbdt::ShardGroup::reset) walks the window
-// tile-major through the fixed-depth traversal kernel, whose routing is
-// integer compares, adds every earlier tree's float weight in tree order
-// and refreshes gradients once, and histogram accumulation is
-// quantized-exact (tests/test_stream.cc asserts the full {1,8} x {1,3}
-// grid). The replay's cost grows with the generation's tree count: each
-// refresh re-derives the window's predictions from the whole ensemble.
+// and equals a plain warm start that replays the whole window -- training
+// adds each tree's float weight in tree order exactly as the replay does,
+// so carried and replayed predictions agree bit for bit, the traversal's
+// routing is integer compares, and histogram accumulation is
+// quantized-exact (tests/test_stream.cc checks both against a Trainer run
+// per refresh and across the {1,8} x {1,3} grid).
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "gbdt/trainer.h"
 #include "gbdt/tree.h"
@@ -58,6 +69,11 @@ struct RetrainerStats {
   std::uint64_t latest_trees = 0;
   /// Records in the window at the latest refresh.
   std::uint64_t latest_window_records = 0;
+  /// Records whose predictions the latest refresh re-derived from the
+  /// ensemble: the window's rows ingested since the refresh before it
+  /// (the whole window on the first refresh, and whenever no row survived
+  /// in between).
+  std::uint64_t replayed_rows = 0;
   /// Hand-offs that failed (container save, install_from_file, or /reload
   /// round-trip); the refreshed model is still kept as latest().
   std::uint64_t handoff_failures = 0;
@@ -80,6 +96,12 @@ class Retrainer {
     return latest_.has_value() ? &*latest_ : nullptr;
   }
 
+  /// Per-tree stats of the latest generation (placeholders for the trees
+  /// it warm-started from, as in TrainResult::tree_stats).
+  const std::vector<gbdt::TreeStats>& latest_tree_stats() const {
+    return latest_tree_stats_;
+  }
+
   const RetrainerStats& stats() const { return stats_; }
   const ChunkWindow& window() const { return window_; }
 
@@ -89,6 +111,12 @@ class Retrainer {
   ChunkWindow window_;
   gbdt::BinnedDataset train_arena_;  // reused window materialization
   std::optional<gbdt::Model> latest_;
+  std::vector<gbdt::TreeStats> latest_tree_stats_;
+  /// latest_'s float predictions of the window rows at its refresh.
+  std::vector<float> predictions_;
+  /// Records the window evicted since the latest refresh: the front of
+  /// predictions_ that no longer belongs to the window.
+  std::uint64_t evicted_since_refresh_ = 0;
   std::uint32_t chunks_since_refresh_ = 0;
   RetrainerStats stats_;
 };

@@ -236,6 +236,38 @@ TEST(DistributedEquivalence, EarlyStoppingDecisionsPropagate) {
   EXPECT_EQ(workers[0].model.num_trees(), ref.model.num_trees());
 }
 
+TEST(DistributedEquivalence, CarriedWarmStartMatchesTrainerOnEveryRank) {
+  // Rank 0's group starts its rows from the carried init predictions and
+  // the workers replay theirs; the world must still train the Trainer's
+  // model. Only the single-rank world hands predictions back.
+  const auto data = random_binned(2001, 60);
+  const auto init = Trainer(base_config(3)).train(data);
+  ASSERT_EQ(init.predictions.size(), data.num_records());
+  TrainerConfig warm = base_config(3);
+  warm.init_model = &init.model;
+  const auto ref = Trainer(warm).train(data);
+  warm.init_predictions = init.predictions;
+  for (const std::uint32_t procs : {2u, 3u}) {
+    DistributedConfig cfg;
+    cfg.trainer = warm;
+    cfg.trainer.num_shards = 4;
+    ipc::InProcessWorld world(ipc::TransportKind::kLoopback, procs);
+    std::vector<TrainResult> workers;
+    const auto got =
+        train_in_process(cfg, world, data, nullptr, nullptr, &workers);
+    const std::string context =
+        "carried warm start / " + std::to_string(procs) + " procs";
+    expect_results_bit_identical(got, ref, data, context + " rank 0");
+    EXPECT_TRUE(got.predictions.empty()) << context;
+    ASSERT_EQ(workers.size(), procs - 1) << context;
+    for (std::size_t w = 0; w < workers.size(); ++w) {
+      expect_results_bit_identical(
+          workers[w], ref, data,
+          context + " worker rank " + std::to_string(w + 1));
+    }
+  }
+}
+
 TEST(DistributedEquivalence, WarmStartMatchesTrainerOnEveryRank) {
   // Every admitted worker receives the init trees in its catch-up; like
   // rank 0 and Trainer it must keep them out of avg_leaf_depth.

@@ -282,6 +282,48 @@ TEST_F(DistributedFaults, AdoptsShardsOfAWorkerDyingMidTraining) {
   EXPECT_EQ(stats0.shards_local + stats0.shards_adopted, 4u);
 }
 
+// A warm start whose worker dies after some new trees: rank 0 adopts its
+// shards into a fresh group whose rows start from the carried init
+// predictions (which hold only the init model's trees) and replay the
+// trees finished since on top. The result must still be the Trainer's.
+TEST_F(DistributedFaults, AdoptsShardsWithCarriedWarmStartPredictions) {
+  const TrainResult init = Trainer(base_config()).train(data_);
+  TrainerConfig warm = base_config(4);
+  warm.init_model = &init.model;
+  const TrainResult ref = Trainer(warm).train(data_);
+
+  ipc::LoopbackHub hub(2);
+  DistributedConfig cfg;
+  cfg.trainer = warm;
+  cfg.trainer.num_shards = 4;
+  cfg.channel.recv_timeout = std::chrono::milliseconds(5);
+  cfg.channel.max_attempts = 4;
+  auto ep0 = hub.endpoint(0);
+  auto ep1 = hub.endpoint(1);
+  DyingTransport dying(ep1.get(), 30);
+
+  TrainResult rank0{.model = Model(0.0, nullptr)};
+  DistributedStats stats0;
+  std::thread worker([&] {
+    DistributedConfig wcfg = cfg;
+    wcfg.channel = ipc::ReliableConfig{};
+    DistributedTrainer w(wcfg, &dying);
+    (void)w.train(data_);
+  });
+  {
+    DistributedConfig rank0_cfg = cfg;
+    rank0_cfg.trainer.init_predictions = init.predictions;
+    DistributedTrainer driver(rank0_cfg, ep0.get());
+    rank0 = driver.train(data_);
+    stats0 = driver.stats();
+  }
+  worker.join();
+
+  expect_bit_identical(rank0, ref, data_, "carried warm start, death");
+  EXPECT_EQ(stats0.dead_workers, 1u);
+  EXPECT_GT(stats0.shards_adopted, 0u);
+}
+
 TEST_F(DistributedFaults, TotalBlackoutAdoptsTheWorkerAndOrphansIt) {
   // Total blackout: every frame in both directions is dropped. Rank 0
   // declares the worker dead, re-executes its shard locally and still

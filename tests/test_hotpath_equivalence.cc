@@ -12,13 +12,15 @@
 // rather than a tree traversal -- against an independent per-record
 // Tree::predict reference; the ascending-span test pins the invariant its
 // row-range scatter relies on, and ShardGroupReset checks the warm-start
-// replay's tile-major reset against a per-tree reference.
+// replay's tile-major reset -- with and without a carried prediction
+// prefix -- against a per-tree reference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
 #include <numeric>
+#include <span>
 #include <tuple>
 #include <vector>
 
@@ -684,6 +686,81 @@ TEST(HotPathEquivalence, LeafSpansAscendAndRowRangeScatterMatchesPositions) {
                "leaf spans do not ascend in row id");
 }
 
+/// Float predictions of `model`'s first `trees` trees, replayed tree by
+/// tree per record: start at (float)base_score, add (float)w per tree.
+std::vector<float> per_tree_replay(const BinnedDataset& data,
+                                   const Model& model, std::uint32_t trees) {
+  std::vector<float> preds(data.num_records(),
+                           static_cast<float>(model.base_score()));
+  for (std::uint32_t t = 0; t < trees; ++t) {
+    for (std::uint64_t r = 0; r < data.num_records(); ++r) {
+      preds[r] += static_cast<float>(model.trees()[t].predict(data, r));
+    }
+  }
+  return preds;
+}
+
+struct GroupShape {
+  std::uint32_t shards, begin, end;
+};
+constexpr GroupShape kGroupShapes[] = {{1, 0, 1}, {3, 0, 3}, {3, 1, 3},
+                                       {4, 2, 3}};
+
+/// Runs `check(pool, shape)` at every SIMD level the host has, threads
+/// {1, 3}, and every group shape of kGroupShapes.
+template <class Check>
+void for_each_level_threads_shape(Check&& check) {
+  for (const util::simd::Level level :
+       {util::simd::Level::kScalar, util::simd::Level::kAvx2,
+        util::simd::Level::kAvx512}) {
+    if (util::simd::kernels(level).level != level) continue;
+    const util::simd::ScopedLevelForTesting scoped(level);
+    for (const unsigned threads : {1u, 3u}) {
+      util::ThreadPool pool(threads);
+      for (const GroupShape& shape : kGroupShapes) {
+        SCOPED_TRACE(::testing::Message()
+                     << util::simd::level_name(level) << " threads "
+                     << threads << " shards " << shape.shards << " ["
+                     << shape.begin << ", " << shape.end << ")");
+        check(pool, shape);
+      }
+    }
+  }
+}
+
+/// The group's predictions and gradients must equal `preds` (indexed by
+/// global row) and the loss's gradients of it, bit for bit.
+void expect_group_state(const ShardGroup& group, const GroupShape& shape,
+                        const BinnedDataset& data, const Loss& loss,
+                        const std::vector<float>& preds) {
+  const std::uint64_t first =
+      shard_row_range(data.num_records(), shape.shards, shape.begin).first;
+  const auto got_preds = group.predictions();
+  const auto got_grads = group.gradients();
+  for (std::uint64_t i = 0; i < got_preds.size(); ++i) {
+    const std::uint64_t r = first + i;
+    const GradientPair want = loss.gradients(preds[r], data.labels()[r]);
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(got_preds[i]),
+              std::bit_cast<std::uint32_t>(preds[r]))
+        << "row " << r;
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(got_grads[i].g),
+              std::bit_cast<std::uint32_t>(want.g))
+        << "row " << r;
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(got_grads[i].h),
+              std::bit_cast<std::uint32_t>(want.h))
+        << "row " << r;
+  }
+}
+
+TrainerConfig reset_config(const char* loss_name) {
+  TrainerConfig cfg;
+  cfg.num_trees = 6;
+  cfg.max_depth = 5;
+  cfg.loss = loss_name;
+  cfg.num_threads = 1;
+  return cfg;
+}
+
 // ShardGroup::reset stands for replaying the model tree by tree: preds
 // start at (float)base_score, each tree adds (float)w with a float add,
 // and each row's gradients follow from its final prediction. The group's
@@ -692,67 +769,115 @@ TEST(HotPathEquivalence, LeafSpansAscendAndRowRangeScatterMatchesPositions) {
 // without trees (the start of training).
 TEST(ShardGroupReset, MatchesPerTreeReplayBitwise) {
   const auto data = random_binned(5003, 64);
-  const std::uint64_t n = data.num_records();
-  struct Shape {
-    std::uint32_t shards, begin, end;
-  };
-  const Shape shapes[] = {{1, 0, 1}, {3, 0, 3}, {3, 1, 3}, {4, 2, 3}};
   for (const char* loss_name : {"logistic", "squared"}) {
-    TrainerConfig cfg;
-    cfg.num_trees = 6;
-    cfg.max_depth = 5;
-    cfg.loss = loss_name;
-    cfg.num_threads = 1;
+    const TrainerConfig cfg = reset_config(loss_name);
     const Model trained = Trainer(cfg).train(data).model;
     const Model empty(trained.base_score(), make_loss(loss_name));
     const auto loss = make_loss(loss_name);
     for (const Model* model : {&trained, &empty}) {
-      std::vector<float> preds(n, static_cast<float>(model->base_score()));
-      for (const Tree& tree : model->trees()) {
-        for (std::uint64_t r = 0; r < n; ++r) {
-          preds[r] += static_cast<float>(tree.predict(data, r));
-        }
-      }
-      for (const util::simd::Level level :
-           {util::simd::Level::kScalar, util::simd::Level::kAvx2,
-            util::simd::Level::kAvx512}) {
-        if (util::simd::kernels(level).level != level) continue;
-        const util::simd::ScopedLevelForTesting scoped(level);
-        for (const unsigned threads : {1u, 3u}) {
-          util::ThreadPool pool(threads);
-          for (const Shape& shape : shapes) {
-            SCOPED_TRACE(::testing::Message()
-                         << loss_name << " trees " << model->num_trees()
-                         << " " << util::simd::level_name(level)
-                         << " threads " << threads << " shards "
-                         << shape.shards << " [" << shape.begin << ", "
-                         << shape.end << ")");
-            ShardGroup group(data, cfg, shape.shards, shape.begin, shape.end,
-                             &pool);
-            group.reset(*loss, *model);
-            const std::uint64_t first =
-                shard_row_range(n, shape.shards, shape.begin).first;
-            const auto got_preds = group.predictions();
-            const auto got_grads = group.gradients();
-            for (std::uint64_t i = 0; i < got_preds.size(); ++i) {
-              const std::uint64_t r = first + i;
-              const GradientPair want =
-                  loss->gradients(preds[r], data.labels()[r]);
-              ASSERT_EQ(std::bit_cast<std::uint32_t>(got_preds[i]),
-                        std::bit_cast<std::uint32_t>(preds[r]))
-                  << "row " << r;
-              ASSERT_EQ(std::bit_cast<std::uint32_t>(got_grads[i].g),
-                        std::bit_cast<std::uint32_t>(want.g))
-                  << "row " << r;
-              ASSERT_EQ(std::bit_cast<std::uint32_t>(got_grads[i].h),
-                        std::bit_cast<std::uint32_t>(want.h))
-                  << "row " << r;
-            }
-          }
-        }
+      SCOPED_TRACE(::testing::Message()
+                   << loss_name << " trees " << model->num_trees());
+      const std::vector<float> preds =
+          per_tree_replay(data, *model, model->num_trees());
+      for_each_level_threads_shape([&](util::ThreadPool& pool,
+                                       const GroupShape& shape) {
+        ShardGroup group(data, cfg, shape.shards, shape.begin, shape.end,
+                         &pool);
+        group.reset(*loss, *model);
+        expect_group_state(group, shape, data, *loss, preds);
+      });
+    }
+  }
+}
+
+// A warm start's carried prefix: rows [0, m) start from predictions that
+// already hold the model's first k trees and add only the later ones;
+// the rest replay every tree. Whatever m (0, mid-shard, every row) and k
+// (all trees -- the warm start itself -- or fewer -- a group rebuilt or
+// adopted after more trees finished), the group's state must equal the
+// full replay bit for bit.
+TEST(ShardGroupReset, CarriedPrefixMatchesFullReplayBitwise) {
+  const auto data = random_binned(5003, 65);
+  const std::uint64_t n = data.num_records();
+  for (const char* loss_name : {"logistic", "squared"}) {
+    const TrainerConfig cfg = reset_config(loss_name);
+    const Model model = Trainer(cfg).train(data).model;
+    const auto loss = make_loss(loss_name);
+    const std::vector<float> want =
+        per_tree_replay(data, model, model.num_trees());
+    for (const std::uint32_t k : {model.num_trees(), 2u}) {
+      const std::vector<float> carried = per_tree_replay(data, model, k);
+      for (const std::uint64_t m : {std::uint64_t{0}, n / 2 + 17, n}) {
+        SCOPED_TRACE(::testing::Message() << loss_name << " carried " << m
+                                          << " rows of " << k << " trees");
+        for_each_level_threads_shape([&](util::ThreadPool& pool,
+                                         const GroupShape& shape) {
+          ShardGroup group(data, cfg, shape.shards, shape.begin, shape.end,
+                           &pool);
+          group.reset(*loss, model,
+                      std::span<const float>(carried).first(m), k);
+          expect_group_state(group, shape, data, *loss, want);
+        });
       }
     }
   }
+}
+
+// A run's final predictions come back as TrainResult::predictions and,
+// passed on as init_predictions of a warm start on the same rows, leave
+// the trained model, every train_loss and the final predictions unchanged.
+TEST(ShardGroupReset, TrainerReturnsAndTakesCarriedPredictions) {
+  const auto data = random_binned(4001, 66);
+  TrainerConfig cfg = reset_config("logistic");
+  cfg.num_threads = 3;
+  cfg.num_shards = 3;
+  const TrainResult init = Trainer(cfg).train(data);
+  EXPECT_EQ(init.predictions,
+            per_tree_replay(data, init.model, init.model.num_trees()));
+  cfg.init_model = &init.model;
+  cfg.num_trees = 3;
+  const TrainResult replayed = Trainer(cfg).train(data);
+  for (const std::uint64_t m : {std::uint64_t{1000}, data.num_records()}) {
+    SCOPED_TRACE(::testing::Message() << "carried " << m << " rows");
+    TrainerConfig carried_cfg = cfg;
+    carried_cfg.init_predictions =
+        std::span<const float>(init.predictions).first(m);
+    const TrainResult carried = Trainer(carried_cfg).train(data);
+    ASSERT_EQ(carried.model.num_trees(), replayed.model.num_trees());
+    for (std::uint32_t t = 0; t < carried.model.num_trees(); ++t) {
+      const Tree& a = carried.model.trees()[t];
+      const Tree& b = replayed.model.trees()[t];
+      ASSERT_EQ(a.num_nodes(), b.num_nodes());
+      for (std::uint32_t id = 0; id < a.num_nodes(); ++id) {
+        EXPECT_EQ(a.node(static_cast<std::int32_t>(id)).weight,
+                  b.node(static_cast<std::int32_t>(id)).weight);
+      }
+      EXPECT_EQ(carried.tree_stats[t].train_loss,
+                replayed.tree_stats[t].train_loss);
+    }
+    EXPECT_EQ(carried.predictions, replayed.predictions);
+  }
+}
+
+TEST(WarmStartDeathTest, InitPredictionsLongerThanTheDataset) {
+  const auto data = random_binned(500, 67);
+  TrainerConfig cfg = reset_config("logistic");
+  const TrainResult init = Trainer(cfg).train(data);
+  std::vector<float> longer = init.predictions;
+  longer.push_back(0.0f);
+  cfg.init_model = &init.model;
+  cfg.init_predictions = longer;
+  EXPECT_DEATH(Trainer(cfg).train(data),
+               "more init_predictions than records");
+}
+
+TEST(WarmStartDeathTest, InitPredictionsWithoutInitModel) {
+  const auto data = random_binned(500, 68);
+  TrainerConfig cfg = reset_config("logistic");
+  const std::vector<float> preds(data.num_records(), 0.0f);
+  cfg.init_predictions = preds;
+  EXPECT_DEATH(Trainer(cfg).train(data),
+               "init_predictions without an init_model");
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -13,6 +13,7 @@
 #include <charconv>
 #include <chrono>
 #include <cstdio>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -265,6 +266,109 @@ TEST(Retrainer, WarmStartGrowsTheEnsembleAndPreservesThePrefix) {
   }
   EXPECT_EQ(retrainer.stats().refreshes, 3u);
   EXPECT_EQ(retrainer.stats().latest_trees, 12u);
+}
+
+// Each refresh carries the surviving rows' predictions over from the one
+// before and replays only the new chunks. The oracle is a plain Trainer run
+// on the same materialized window, warm-started from the previous
+// generation with no carried predictions -- a whole-window replay -- so a
+// wrong carry offset or a stale carried vector shows up as a model or
+// train_loss difference. Uneven chunk sizes make any offset error land on
+// rows of another chunk; window_chunks < refresh_every_chunks evicts every
+// row between refreshes, so nothing is carried.
+TEST(Retrainer, CarriedRefreshesEqualWholeWindowWarmStarts) {
+  const auto spec = stream_spec();
+  const FrozenBinMap map(
+      gbdt::Binner().bin(workloads::synthesize(spec, 400, 91)));
+  const std::vector<std::uint64_t> sizes = {150, 97, 203, 61, 180,
+                                            120, 77, 133, 40};
+  std::vector<Dataset> chunks;
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    chunks.push_back(workloads::synthesize(spec, sizes[i], 910 + 7 * i));
+  }
+  struct Shape {
+    std::uint32_t refresh_every;
+    std::size_t window;
+  };
+  const Shape shapes[] = {{1, 3}, {2, 3}, {2, 4}, {3, 2}, {2, 1}};
+  for (const char* loss : {"logistic", "squared"}) {
+    for (const Shape& shape : shapes) {
+      SCOPED_TRACE(::testing::Message()
+                   << loss << " refresh every " << shape.refresh_every
+                   << " window " << shape.window);
+      RetrainerConfig rcfg;
+      rcfg.trainer.num_trees = 3;
+      rcfg.trainer.max_depth = 3;
+      rcfg.trainer.loss = loss;
+      rcfg.trainer.num_threads = 2;
+      rcfg.refresh_every_chunks = shape.refresh_every;
+      rcfg.window_chunks = shape.window;
+      Retrainer retrainer(map, rcfg);
+      std::optional<gbdt::Model> previous;
+      std::size_t last_refresh = 0;  // chunks ingested at the last refresh
+      std::uint64_t refreshes = 0;
+      for (std::size_t i = 0; i < chunks.size(); ++i) {
+        if (!retrainer.ingest(chunks[i])) continue;
+        ++refreshes;
+        BinnedDataset window;
+        retrainer.window().materialize(&window);
+        gbdt::TrainerConfig tcfg = rcfg.trainer;
+        tcfg.init_model = previous.has_value() ? &*previous : nullptr;
+        const gbdt::TrainResult want = gbdt::Trainer(tcfg).train(window);
+        ASSERT_EQ(model_bytes(*retrainer.latest()), model_bytes(want.model))
+            << "refresh " << refreshes;
+        const auto& got_stats = retrainer.latest_tree_stats();
+        ASSERT_EQ(got_stats.size(), want.tree_stats.size());
+        for (std::size_t t = 0; t < got_stats.size(); ++t) {
+          EXPECT_EQ(got_stats[t].train_loss, want.tree_stats[t].train_loss)
+              << "refresh " << refreshes << " tree " << t;
+        }
+        // Replayed rows: the window's chunks ingested since the last
+        // refresh (every chunk on the first refresh).
+        const std::size_t first_in_window =
+            i + 1 > shape.window ? i + 1 - shape.window : 0;
+        std::uint64_t want_replayed = 0;
+        for (std::size_t c = first_in_window; c <= i; ++c) {
+          if (refreshes == 1 || c >= last_refresh) want_replayed += sizes[c];
+        }
+        EXPECT_EQ(retrainer.stats().replayed_rows, want_replayed)
+            << "refresh " << refreshes;
+        if (shape.window < shape.refresh_every) {
+          EXPECT_EQ(want_replayed, window.num_records());
+        }
+        last_refresh = i + 1;
+        previous.emplace(retrainer.latest()->clone());
+      }
+      EXPECT_EQ(refreshes, sizes.size() / shape.refresh_every);
+    }
+  }
+}
+
+// The perfbench stream shape at 1/40 of its rows: 16 chunks, a window of
+// 8, a refresh every 2. Every refresh replays exactly the 2 chunks
+// ingested since the previous one (the first refresh's whole window is
+// those 2 chunks too), however full the window is.
+TEST(Retrainer, ReplaysOnlyTheChunksIngestedSinceTheLastRefresh) {
+  const auto spec = stream_spec();
+  const FrozenBinMap map(
+      gbdt::Binner().bin(workloads::synthesize(spec, 400, 93)));
+  RetrainerConfig rcfg;
+  rcfg.trainer.num_trees = 2;
+  rcfg.trainer.max_depth = 3;
+  rcfg.trainer.loss = "logistic";
+  rcfg.trainer.num_threads = 1;
+  rcfg.refresh_every_chunks = 2;
+  rcfg.window_chunks = 8;
+  Retrainer retrainer(map, rcfg);
+  for (int i = 0; i < 16; ++i) {
+    if (!retrainer.ingest(workloads::synthesize(spec, 500, 930 + i))) {
+      continue;
+    }
+    EXPECT_EQ(retrainer.stats().replayed_rows, 1000u)
+        << "refresh " << retrainer.stats().refreshes;
+  }
+  EXPECT_EQ(retrainer.stats().refreshes, 8u);
+  EXPECT_EQ(retrainer.stats().latest_window_records, 4000u);
 }
 
 // ------------------------------------------------------------- end-to-end
