@@ -1,6 +1,6 @@
-// Serving bench (ISSUE 8 acceptance): a closed-loop load generator over
-// real localhost TCP against the epoll prediction server, sweeping
-// concurrency x batch window. One machine-readable JSON object on stdout
+// Serving bench: a closed-loop load generator over real localhost TCP
+// against the epoll prediction server, sweeping concurrency x batch
+// window. One machine-readable JSON object on stdout
 // (see bench/README.md): per sweep point {connections, batch_window_us,
 // qps, rows_per_sec, p50/p99/p999 latency, bytes/request} plus the
 // server's batch-size histogram (GET /stats), which is the evidence that
@@ -11,17 +11,11 @@
 // compared bitwise against local Model::predict inside the harness, and
 // any mismatch or transport error exits non-zero -- throughput numbers
 // from a diverging server are worthless, so they are never printed.
-//
-// After the sweep, an overload leg re-runs the harness against a server
-// with tight admission watermarks at an offered load far past saturation,
-// with a concurrent /reload churn thread: it demonstrates load shedding
-// (503s, zero transport errors), bounded reload stall on the loop, and
-// bit-identity for every admitted prediction through hot swaps.
+// Overload behaviour (shedding under /reload churn) is tested by
+// test_serve's ServeOverload.* cases, not measured here.
 //
 //   ./bench_serve [--quick]
-#include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <optional>
 #include <sstream>
 #include <thread>
@@ -35,7 +29,6 @@
 #include "serve/server.h"
 #include "sim/json.h"
 #include "sim/runner.h"
-#include "sim/scenario.h"
 #include "workloads/spec.h"
 #include "workloads/synth.h"
 
@@ -161,135 +154,8 @@ int main(int argc, char** argv) {
     }
   }
   std::printf("  ],\n");
-
-  // ---------------------------------------------------------- overload leg
-  // One server with watermarks sized so a pipelined open-ish load must
-  // shed: first a at-saturation baseline (closed loop, depth 1, below the
-  // watermarks), then 2x+ the saturation concurrency at pipeline depth 8
-  // while a side thread hammers /reload with the same model container.
-  bool overload_failed = false;
-  {
-    serve::ModelSlot slot;
-    slot.install(clone_model(trained.model));
-    serve::ServerConfig scfg;
-    scfg.shed_requests_watermark = 16;
-    scfg.shed_rows_watermark = 16 * rows_per_request;
-    serve::Server server(scfg, &slot, binned);
-    std::thread loop([&server] { server.run(); });
-
-    serve::LoadConfig sat;
-    sat.port = server.port();
-    sat.connections = 4;
-    sat.requests_per_connection = requests_per_connection;
-    sat.rows_per_request = rows_per_request;
-    const serve::LoadResult sat_r = serve::run_closed_loop(sat, raw, expected);
-
-    const std::string reload_path = "/tmp/bench_serve_overload.model";
-    const bool reload_saved =
-        gbdt::save_model_checked_file(trained.model, reload_path);
-    std::atomic<bool> reloads_done{false};
-    std::thread reloader([&] {
-      if (!reload_saved) return;
-      serve::BlockingClient c;
-      if (!c.connect(server.port())) return;
-      while (!reloads_done.load(std::memory_order_relaxed)) {
-        serve::Response resp;
-        // 409 (a previous reload still in flight) is expected churn here;
-        // only a dead connection ends the thread early.
-        if (!c.request("POST", "/reload", reload_path, &resp)) break;
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-    });
-
-    serve::LoadConfig over = sat;
-    over.connections = opt.quick ? 8 : 16;
-    over.pipeline_depth = 8;
-    const serve::LoadResult over_r =
-        serve::run_closed_loop(over, raw, expected);
-    reloads_done.store(true, std::memory_order_relaxed);
-    reloader.join();
-
-    double reloads = 0.0, stall_max_us = 0.0;
-    serve::BlockingClient stats_client;
-    if (stats_client.connect(server.port())) {
-      serve::Response resp;
-      std::string parse_error;
-      if (stats_client.request("GET", "/stats", "", &resp) &&
-          resp.status == 200) {
-        if (const auto stats = sim::Json::parse(resp.body, &parse_error)) {
-          if (const sim::Json* v = stats->find("reloads")) {
-            reloads = v->as_double();
-          }
-          if (const sim::Json* v = stats->find("reload_stall_us_max")) {
-            stall_max_us = v->as_double();
-          }
-        }
-      }
-    }
-    server.stop();
-    loop.join();
-    std::remove(reload_path.c_str());
-
-    const std::uint64_t offered =
-        static_cast<std::uint64_t>(over.connections) *
-        over.requests_per_connection;
-    const double shed_rate =
-        offered > 0 ? static_cast<double>(over_r.shed) /
-                          static_cast<double>(offered)
-                    : 0.0;
-    const double p999_ratio =
-        sat_r.p999_us > 0.0 ? over_r.p999_us / sat_r.p999_us : 0.0;
-    // A p99.9 says something about a tail only when the tail holds
-    // samples: each leg needs at least ten admitted requests beyond its
-    // p99.9 (10,000 requests) before the ratio gets a verdict. Below that
-    // the p99.9 is a leg's few slowest requests, and scheduler noise alone
-    // flips it.
-    const auto beyond_p999 = [](std::uint64_t n) { return n / 1000; };
-    const char* p999_verdict =
-        beyond_p999(sat_r.requests) < 10 || beyond_p999(over_r.requests) < 10
-            ? "insufficient_samples"
-        : p999_ratio <= 5.0 ? "pass"
-                            : "FAIL";
-    std::printf("  \"overload\": {\"saturation_connections\": %u,"
-                " \"overload_connections\": %u, \"pipeline_depth\": %u,\n",
-                sat.connections, over.connections, over.pipeline_depth);
-    std::printf("    \"saturation_qps\": %.1f, \"saturation_p999_us\": %.1f,"
-                " \"overload_qps\": %.1f, \"overload_p999_us\": %.1f,\n",
-                sat_r.qps, sat_r.p999_us, over_r.qps, over_r.p999_us);
-    std::printf("    \"saturation_admitted\": %llu, \"admitted\": %llu,"
-                " \"shed\": %llu, \"shed_rate\": %.3f,"
-                " \"p999_ratio\": %.2f, \"p999_bounded_5x\": \"%s\",\n",
-                static_cast<unsigned long long>(sat_r.requests),
-                static_cast<unsigned long long>(over_r.requests),
-                static_cast<unsigned long long>(over_r.shed), shed_rate,
-                p999_ratio, p999_verdict);
-    std::printf("    \"reloads\": %.0f, \"reload_stall_us_max\": %.1f,"
-                " \"errors\": %llu, \"mismatches\": %llu},\n",
-                reloads, stall_max_us,
-                static_cast<unsigned long long>(sat_r.errors + over_r.errors),
-                static_cast<unsigned long long>(sat_r.mismatches +
-                                                over_r.mismatches));
-
-    // Gates: clean transport + bit-identity in both runs, shedding actually
-    // engaged under overload, and (when reloads landed) the on-loop stall
-    // stayed far under a batch window. The 5x p999 bound is reported but
-    // not gated: single-core CI boxes make tail ratios too noisy to fail
-    // the build on.
-    overload_failed = sat_r.errors != 0 || sat_r.mismatches != 0 ||
-                      over_r.errors != 0 || over_r.mismatches != 0 ||
-                      over_r.shed == 0 ||
-                      (reloads > 0.0 && stall_max_us >= 10000.0);
-  }
-
   std::printf("  \"bit_identity\": \"%s\"\n}\n",
               diverged ? "FAIL" : "pass");
-  if (overload_failed) {
-    std::fprintf(stderr,
-                 "bench_serve: overload leg failed (transport errors,"
-                 " divergence, no shedding at 2x saturation, or reload"
-                 " stall >= 10ms on the event loop)\n");
-    return 1;
-  }
   if (diverged) {
     std::fprintf(stderr,
                  "bench_serve: served predictions diverged from local"

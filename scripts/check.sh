@@ -154,6 +154,11 @@ for spec in bench/scenarios/*.json; do
   "$BUILD_DIR/booster_scenarios" run "$spec" --quick > /dev/null
 done
 
+# Layering guard: the scenario layer models serving and never measures it
+# (bench_serve is the one serving harness), so src/sim includes no serve/
+# header.
+if grep -rn '#include "serve/' src/sim; then echo "src/sim must not include serve/ headers" >&2; exit 1; fi
+
 # The shard-sweep DSE scenario must also run through the builtin path (the
 # ISSUE 4 acceptance command): its functional sample trains through the
 # sharded engine (runner.shards) before the perf sweep.
@@ -187,8 +192,9 @@ done
 # serve -> query pipeline end to end; bench_serve runs the closed-loop
 # load harness over real localhost TCP and exits non-zero if any served
 # prediction differs bitwise from local Model::predict or any request
-# fails. (The "serving" scenario above already ran the measured
-# serving leg through the Scenario API under --quick.)
+# fails. It is the one serving harness: the "serving" scenario above
+# only models QPS (analytic_qps), and overload shedding under /reload
+# churn is tested by test_serve's ServeOverload.* cases.
 "$BUILD_DIR/serve_demo" > /dev/null
 "$BUILD_DIR/bench_serve" --quick
 

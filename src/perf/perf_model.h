@@ -61,9 +61,8 @@ struct InferenceSpec {
 /// Analytic serving throughput implied by a batch-inference cost: rows
 /// predicted per second if the device ran back-to-back batches of
 /// `records` rows, each costing `inference_seconds`. Zero on a degenerate
-/// (non-positive) cost. The serving scenario prints this next to the
-/// measured closed-loop QPS so the analytic and measured numbers confront
-/// each other in one table.
+/// (non-positive) cost. The serving scenario prints it per replica count
+/// as `analytic_qps`; bench_serve measures a real server's QPS.
 inline double projected_qps(double records, double inference_seconds) {
   return inference_seconds > 0.0 ? records / inference_seconds : 0.0;
 }

@@ -297,9 +297,7 @@ LoadResult run_closed_loop(const LoadConfig& cfg, const gbdt::Dataset& queries,
           (static_cast<std::uint64_t>(c) * cfg.requests_per_connection + k) *
           cfg.rows_per_request % num_records;
       pc.first_rows.push_back(first);
-      pc.bodies.push_back(cfg.json_body
-                              ? json_rows(queries, first, cfg.rows_per_request)
-                              : csv_rows(queries, first, cfg.rows_per_request));
+      pc.bodies.push_back(csv_rows(queries, first, cfg.rows_per_request));
     }
     pc.latencies_us.reserve(cfg.requests_per_connection);
   }
@@ -331,9 +329,7 @@ LoadResult run_closed_loop(const LoadConfig& cfg, const gbdt::Dataset& queries,
           const std::string& body = pc.bodies[next_send];
           wire.clear();
           wire += "POST /predict HTTP/1.1\r\nHost: 127.0.0.1\r\n";
-          wire += "Content-Type: ";
-          wire += cfg.json_body ? "application/json" : "text/plain";
-          wire += "\r\nContent-Length: ";
+          wire += "Content-Type: text/plain\r\nContent-Length: ";
           wire += std::to_string(body.size());
           wire += "\r\n\r\n";
           wire += body;

@@ -1,15 +1,15 @@
 // Client-side counterpart of the prediction server: a blocking HTTP/1.1
 // client for tests and examples, plus the closed-loop load harness that
-// bench_serve and the serving scenario drive. The harness is closed-loop
-// (each connection keeps at most pipeline_depth requests in flight and
-// sends the next only as responses land; depth 1 is the classic one-at-a-
-// time loop), so measured latency is honest end-to-end time over real
-// localhost TCP -- and every predicted value that comes back is compared
-// bit-for-bit against the caller-supplied expected vector, which gates
-// all throughput numbers on correctness. Depths > 1 multiply the offered
-// load per connection, which is how the bench drives the server past
-// saturation to exercise admission control; shed responses (503 with
-// Retry-After) are counted separately from errors.
+// bench_serve drives. The harness is closed-loop (each connection keeps
+// at most pipeline_depth requests in flight and sends the next only as
+// responses land; depth 1 is the classic one-at-a-time loop), so measured
+// latency is honest end-to-end time over real localhost TCP -- and every
+// predicted value that comes back is compared bit-for-bit against the
+// caller-supplied expected vector, which gates all throughput numbers on
+// correctness. Depths > 1 multiply the offered load per connection, which
+// is how test_serve drives the server past saturation to exercise
+// admission control; shed responses (503 with Retry-After) are counted
+// separately from errors.
 #pragma once
 
 #include <cstdint>
@@ -103,8 +103,6 @@ struct LoadConfig {
   /// classic closed loop; larger depths pipeline, multiplying offered
   /// load per connection -- the overload generator.
   std::uint32_t pipeline_depth = 1;
-  /// Send JSON bodies instead of CSV.
-  bool json_body = false;
 };
 
 struct LoadResult {
@@ -128,7 +126,7 @@ struct LoadResult {
 
 /// Runs the closed-loop load: `cfg.connections` threads, each with its own
 /// keep-alive connection, each issuing `requests_per_connection` prebuilt
-/// /predict requests over rows of `queries` (request k of connection c
+/// CSV /predict requests over rows of `queries` (request k of connection c
 /// covers rows [(c*requests_per_connection + k) * rows_per_request, ...)
 /// mod num_records, so coverage is deterministic), keeping up to
 /// `pipeline_depth` of them in flight. Every admitted prediction is

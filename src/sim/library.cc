@@ -169,15 +169,12 @@ std::vector<ScenarioSpec> make_builtin() {
     out.push_back(std::move(s));
   }
   {
-    // Serving scenario: the analytic batch-inference cost (swept over
-    // replica counts, paper SS III-D round-robin chip dealing) next to a
-    // *measured* closed-loop run against a real serve::Server on
-    // localhost TCP. The measured leg is gated bit-exact -- every served
-    // prediction must equal local Model::predict -- so the two QPS
-    // columns in one table are both correctness-proven.
+    // Serving scenario: the analytic batch-inference cost and the QPS it
+    // projects, swept over replica counts (paper SS III-D round-robin chip
+    // dealing). Modelled only; bench_serve measures a real serve::Server.
     auto s = base("serving",
-                  "Serving: measured prediction-server QPS vs analytic"
-                  " inference cost",
+                  "Serving: analytic prediction-server QPS and inference"
+                  " cost",
                   "Booster paper, Section V-H (inference); serving"
                   " extension study",
                   {"IoT", "Flight"});
@@ -185,7 +182,6 @@ std::vector<ScenarioSpec> make_builtin() {
     s.include_inference = true;
     s.sweep_axis = SweepAxis::kReplicas;
     s.sweep_values = {1, 2, 4};
-    s.serving = ServingSpec{};
     out.push_back(std::move(s));
   }
 

@@ -1,23 +1,15 @@
 #include "sim/runner.h"
 
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <mutex>
-#include <sstream>
-#include <thread>
 
-#include "gbdt/model_io.h"
-#include "serve/client.h"
-#include "serve/model_slot.h"
-#include "serve/server.h"
 #include "util/simd.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
-#include "workloads/synth.h"
 
 namespace booster::sim {
 
@@ -127,25 +119,6 @@ Json ScenarioResult::to_json() const {
     cell_array.push_back(std::move(cj));
   }
   j.set("cells", std::move(cell_array));
-
-  if (!serving.empty()) {
-    Json serving_array = Json::array();
-    for (const auto& s : serving) {
-      Json sj = Json::object();
-      sj.set("workload", workloads[s.workload_index].spec.name);
-      sj.set("qps", s.qps);
-      sj.set("rows_per_sec", s.rows_per_sec);
-      sj.set("mean_us", s.mean_us);
-      sj.set("p50_us", s.p50_us);
-      sj.set("p99_us", s.p99_us);
-      sj.set("p999_us", s.p999_us);
-      sj.set("requests", s.requests);
-      sj.set("rows", s.rows);
-      sj.set("bytes_per_request", s.bytes_per_request);
-      serving_array.push_back(std::move(sj));
-    }
-    j.set("serving", std::move(serving_array));
-  }
   return j;
 }
 
@@ -185,25 +158,6 @@ void ScenarioResult::print_table() const {
     table.add_row(std::move(row));
   }
   table.print();
-
-  // The measured leg, when present: real sockets, closed loop, every
-  // prediction already proven bit-identical (a mismatch would have failed
-  // the run). Printed after the analytic table so the two QPS columns sit
-  // together on the terminal.
-  if (!serving.empty()) {
-    util::Table measured({"Workload", "measured-qps", "rows/s", "p50-us",
-                          "p99-us", "p999-us", "requests"});
-    for (const auto& s : serving) {
-      measured.add_row({workloads[s.workload_index].spec.name,
-                        util::fmt(s.qps, 0), util::fmt(s.rows_per_sec, 0),
-                        util::fmt(s.p50_us, 0), util::fmt(s.p99_us, 0),
-                        util::fmt(s.p999_us, 0),
-                        std::to_string(s.requests)});
-    }
-    std::printf("\nMeasured serving (closed-loop, localhost TCP,"
-                " bit-identity gated):\n");
-    measured.print();
-  }
 }
 
 ScenarioRunner::ScenarioRunner()
@@ -429,78 +383,6 @@ std::optional<ScenarioResult> ScenarioRunner::run(const ScenarioSpec& spec,
   if (!cell_error.empty()) {
     set_error(error, cell_error);
     return std::nullopt;
-  }
-
-  // ---- the measured serving leg: a real serve::Server per workload on
-  // localhost TCP, driven closed-loop over the exact rows the functional
-  // sample trained on (re-synthesized: synthesize is deterministic in
-  // (spec, records, seed)). Runs serially after the cell matrix so its
-  // wall-clock numbers are not polluted by pool contention. Any bitwise
-  // mismatch between a served prediction and local Model::predict -- or
-  // any transport error -- fails the whole scenario loudly.
-  if (spec.serving.has_value()) {
-    const ServingSpec& sv = *spec.serving;
-    for (std::size_t w = 0; w < result.workloads.size(); ++w) {
-      const auto& wl = result.workloads[w];
-
-      // Model is move-only and the workload keeps its copy; clone through
-      // the text serializer (round-tripping preserves every prediction).
-      std::stringstream clone;
-      gbdt::save_model(wl.train.model, clone);
-      serve::ModelSlot slot;
-      slot.install(gbdt::load_model(clone));
-
-      serve::ServerConfig server_cfg;
-      server_cfg.batch_window = std::chrono::microseconds(sv.batch_window_us);
-      server_cfg.max_batch_rows = sv.max_batch_rows;
-      serve::Server server(server_cfg, &slot, wl.binned);
-      std::thread loop([&server] { server.run(); });
-
-      const gbdt::Dataset queries =
-          workloads::synthesize(wl.spec, runner_cfg.sim_records,
-                                runner_cfg.seed);
-      std::vector<double> expected(wl.binned.num_records());
-      for (std::uint64_t r = 0; r < wl.binned.num_records(); ++r) {
-        expected[r] = wl.train.model.predict(wl.binned, r);
-      }
-
-      serve::LoadConfig load;
-      load.port = server.port();
-      load.connections = sv.connections;
-      load.requests_per_connection = sv.requests_per_connection;
-      load.rows_per_request = sv.rows_per_request;
-      load.json_body = sv.json_body;
-      if (options.quick && load.requests_per_connection > 25) {
-        load.requests_per_connection = 25;
-      }
-      const serve::LoadResult measured =
-          serve::run_closed_loop(load, queries, expected);
-      server.stop();
-      loop.join();
-
-      if (measured.errors != 0 || measured.mismatches != 0) {
-        set_error(error, "serving leg failed for workload \"" +
-                             wl.spec.name + "\": " +
-                             std::to_string(measured.errors) + " errors, " +
-                             std::to_string(measured.mismatches) +
-                             " prediction mismatches vs local"
-                             " Model::predict");
-        return std::nullopt;
-      }
-
-      ServingMeasurement sm;
-      sm.workload_index = w;
-      sm.qps = measured.qps;
-      sm.rows_per_sec = measured.rows_per_sec;
-      sm.mean_us = measured.mean_us;
-      sm.p50_us = measured.p50_us;
-      sm.p99_us = measured.p99_us;
-      sm.p999_us = measured.p999_us;
-      sm.requests = measured.requests;
-      sm.rows = measured.rows;
-      sm.bytes_per_request = measured.bytes_per_request;
-      result.serving.push_back(sm);
-    }
   }
 
   return result;

@@ -9,7 +9,8 @@
 // This is the single execution engine behind every bench_fig*/bench_table*
 // driver and the booster_scenarios CLI: benches are now a builtin spec plus
 // a formatting shim over ScenarioResult. Functional samples train in
-// process with gbdt::Trainer; the one measured leg is serving.
+// process with gbdt::Trainer; every cell is modelled, none measured
+// (serving is measured by bench_serve).
 #pragma once
 
 #include <cstdint>
@@ -78,25 +79,6 @@ struct ScenarioCell {
   core::BoosterConfig booster;
 };
 
-/// One measured serving run (spec.serving present): a real serve::Server
-/// on localhost TCP driven by the closed-loop harness, one per workload.
-/// Reported only when every served prediction matched local
-/// Model::predict bitwise -- a mismatch (or transport error) fails the
-/// scenario instead, so these numbers are correctness-gated by
-/// construction.
-struct ServingMeasurement {
-  std::size_t workload_index = 0;
-  double qps = 0.0;
-  double rows_per_sec = 0.0;
-  double mean_us = 0.0;
-  double p50_us = 0.0;
-  double p99_us = 0.0;
-  double p999_us = 0.0;
-  std::uint64_t requests = 0;
-  std::uint64_t rows = 0;
-  double bytes_per_request = 0.0;
-};
-
 struct ScenarioResult {
   ScenarioSpec spec;
   bool quick = false;
@@ -107,8 +89,6 @@ struct ScenarioResult {
   std::vector<double> sweep_values;
   /// Sweep-major, then workload, then model.
   std::vector<ScenarioCell> cells;
-  /// One entry per workload when spec.serving is present; empty otherwise.
-  std::vector<ServingMeasurement> serving;
 
   const ScenarioCell& cell(std::size_t sweep, std::size_t workload,
                            std::size_t model) const;

@@ -432,29 +432,6 @@ Json ScenarioSpec::to_json() const {
 
   if (include_inference) j.set("include_inference", true);
 
-  if (serving.has_value()) {
-    const ServingSpec serving_defaults;
-    Json sv = Json::object();
-    if (serving->connections != serving_defaults.connections) {
-      sv.set("connections", serving->connections);
-    }
-    if (serving->requests_per_connection !=
-        serving_defaults.requests_per_connection) {
-      sv.set("requests_per_connection", serving->requests_per_connection);
-    }
-    if (serving->rows_per_request != serving_defaults.rows_per_request) {
-      sv.set("rows_per_request", serving->rows_per_request);
-    }
-    if (serving->batch_window_us != serving_defaults.batch_window_us) {
-      sv.set("batch_window_us", serving->batch_window_us);
-    }
-    if (serving->max_batch_rows != serving_defaults.max_batch_rows) {
-      sv.set("max_batch_rows", serving->max_batch_rows);
-    }
-    if (serving->json_body) sv.set("json_body", true);
-    j.set("serving", std::move(sv));
-  }
-
   return j;
 }
 
@@ -555,24 +532,6 @@ std::optional<ScenarioSpec> ScenarioSpec::from_json(const Json& json,
   }
 
   r.boolean("include_inference", &spec.include_inference);
-
-  if (const Json* sv = r.child("serving")) {
-    ServingSpec serving;
-    FieldReader svr(*sv, "scenario.serving", error);
-    svr.u32("connections", &serving.connections);
-    svr.u32("requests_per_connection", &serving.requests_per_connection);
-    svr.u32("rows_per_request", &serving.rows_per_request);
-    svr.u64("batch_window_us", &serving.batch_window_us);
-    svr.u32("max_batch_rows", &serving.max_batch_rows);
-    svr.boolean("json_body", &serving.json_body);
-    if (!svr.finish()) return std::nullopt;
-    if (serving.connections == 0 || serving.requests_per_connection == 0 ||
-        serving.rows_per_request == 0 || serving.max_batch_rows == 0) {
-      set_error(error, "scenario.serving knobs must be positive");
-      return std::nullopt;
-    }
-    spec.serving = serving;
-  }
 
   if (!r.finish()) return std::nullopt;
 

@@ -8,9 +8,9 @@
 // DSE axis is a ~20-line JSON edit, not a new binary.
 //
 // A scenario trains its functional sample in process with gbdt::Trainer
-// and costs the step trace with the perf models; its one measured leg is
-// serving (ServingSpec). Streaming is measured by bench_stream and
-// distributed training by bench_distributed / multi_process, not here.
+// and costs the step trace with the perf models; it measures nothing.
+// Serving is measured by bench_serve, streaming by bench_stream and
+// distributed training by bench_distributed / multi_process.
 #pragma once
 
 #include <cstdint>
@@ -78,27 +78,6 @@ struct ModelSpec {
   }
 };
 
-/// Knobs for the measured serving leg of a scenario: the runner stands up
-/// a real serve::Server (epoll loop, localhost TCP) per workload on the
-/// functionally-trained model and drives it with the closed-loop harness
-/// (serve::run_closed_loop). Every served prediction is gated bit-exact
-/// against local Model::predict -- a mismatch fails the whole scenario --
-/// so the measured QPS lands in the same table as the analytic
-/// inference_cost with its correctness already proven.
-struct ServingSpec {
-  std::uint32_t connections = 4;
-  std::uint32_t requests_per_connection = 200;
-  std::uint32_t rows_per_request = 8;
-  /// Server-side batching window in microseconds (0 = flush every poll
-  /// round).
-  std::uint64_t batch_window_us = 200;
-  std::uint32_t max_batch_rows = 1024;
-  /// Send JSON request bodies instead of CSV.
-  bool json_body = false;
-
-  bool operator==(const ServingSpec& other) const = default;
-};
-
 struct ScenarioSpec {
   std::string name;       // identifier; matches the .json file stem
   std::string title;      // printed experiment header
@@ -136,9 +115,6 @@ struct ScenarioSpec {
 
   /// Also compute each model's batch-inference cost per cell (Fig 13).
   bool include_inference = false;
-
-  /// Present = also run the measured serving leg (see ServingSpec).
-  std::optional<ServingSpec> serving;
 
   /// The workload runner config this scenario trains with.
   workloads::RunnerConfig runner_config(bool quick) const;

@@ -89,13 +89,15 @@ TEST(ScenarioSpec, BuiltinSpecsRoundTripLosslessly) {
 }
 
 TEST(ScenarioSpec, UnknownTopLevelKeyIsAnError) {
-  // Unknown keys fail loudly, including the retired "streaming" block and
-  // runner "procs" knob: a stale spec file must not be silently ignored.
+  // Unknown keys fail loudly, including the retired "streaming" and
+  // "serving" blocks and runner "procs" knob: a stale spec file must not
+  // be silently ignored.
   for (const auto& [text, key] :
        {std::pair<const char*, const char*>{
             R"({"name": "x", "bogus_knob": 1})", "bogus_knob"},
         {R"({"name": "x", "streaming": {}})", "streaming"},
-        {R"({"name": "x", "runner": {"procs": 2}})", "procs"}}) {
+        {R"({"name": "x", "runner": {"procs": 2}})", "procs"},
+        {R"({"name": "x", "serving": {}})", "serving"}}) {
     std::string error;
     const auto doc = Json::parse(text, &error);
     ASSERT_TRUE(doc.has_value()) << error;

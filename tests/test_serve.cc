@@ -1030,14 +1030,38 @@ TEST(ServeOverload, ConcurrentReloadIsRefusedWith409Busy) {
 }
 
 TEST(ServeOverload, PipelinedHarnessShedsUnderOverloadWithoutErrors) {
-  // End-to-end admission control through the load harness: pipelined
-  // connections offer far more work than the tight watermarks admit, so
-  // some requests shed (503, counted separately) while every admitted one
-  // stays bit-identical -- and none errors.
+  // End-to-end admission control through the load harness, under hot-swap
+  // churn: pipelined connections offer far more work than the tight
+  // watermarks admit while a side thread POSTs /reload about every 1 ms
+  // with the same model. Some requests shed (503, counted separately),
+  // every admitted one stays bit-identical through the swaps, none errors,
+  // and the on-loop reload stall stays far under a batch window.
   ServerConfig scfg = Fixture::config_with({}, 1024);
   scfg.shed_requests_watermark = 4;
   scfg.shed_rows_watermark = 4 * 6;
   Fixture fx(scfg);
+
+  const std::string reload_path = "/tmp/booster_serve_overload_reload.model";
+  ASSERT_TRUE(gbdt::save_model_checked_file(*fx.model, reload_path));
+  BlockingClient probe;
+  ASSERT_TRUE(probe.connect(fx.server->port()));
+  std::atomic<bool> load_done{false};
+  std::atomic<std::uint64_t> reload_other_status{0};
+  std::thread reloader([&] {
+    BlockingClient c;
+    if (!c.connect(fx.server->port())) return;
+    while (!load_done.load(std::memory_order_relaxed)) {
+      Response resp;
+      // 409 (a reload still in flight) is expected churn; only a dead
+      // connection ends the thread early.
+      if (!c.request("POST", "/reload", reload_path, &resp)) break;
+      if (resp.status != 200 && resp.status != 409) ++reload_other_status;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  // The churn is live before the load starts.
+  const bool first_reload_landed = wait_for_stat(&probe, "reloads", 1.0);
+
   LoadConfig lcfg;
   lcfg.port = fx.server->port();
   lcfg.connections = 4;
@@ -1045,6 +1069,12 @@ TEST(ServeOverload, PipelinedHarnessShedsUnderOverloadWithoutErrors) {
   lcfg.rows_per_request = 6;
   lcfg.pipeline_depth = 8;
   const LoadResult result = run_closed_loop(lcfg, fx.raw, fx.expected);
+  load_done.store(true, std::memory_order_relaxed);
+  reloader.join();
+  const auto stats = get_stats(&probe);
+  std::remove(reload_path.c_str());
+
+  ASSERT_TRUE(first_reload_landed);
   EXPECT_EQ(result.errors, 0u);
   EXPECT_EQ(result.mismatches, 0u);
   EXPECT_GT(result.shed, 0u);
@@ -1052,6 +1082,10 @@ TEST(ServeOverload, PipelinedHarnessShedsUnderOverloadWithoutErrors) {
             static_cast<std::uint64_t>(lcfg.connections) *
                 lcfg.requests_per_connection);
   EXPECT_GT(result.requests, 0u);
+  EXPECT_EQ(reload_other_status.load(), 0u);
+  ASSERT_TRUE(stats.has_value());
+  EXPECT_GT(stat_value(*stats, "reloads"), 0.0);
+  EXPECT_LT(stat_value(*stats, "reload_stall_us_max"), 10000.0);
 }
 
 }  // namespace
